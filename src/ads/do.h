@@ -1,11 +1,12 @@
 // ADS_DO: the trusted data owner's side of the ADS protocol (step w1).
 //
-// The DO tracks the authoritative Merkle root. Before accepting its own
-// update into the root it runs the verified-update protocol against the SP:
-// fetch the current record's proof (or absence proof), verify against the
-// locally held root, then apply the new leaf and recompute the root. A
-// mirror tree of leaf hashes (not values) makes root recomputation O(log n)
-// without re-asking the SP for sibling data.
+// The DO tracks the authoritative Merkle root in a mirror tree of leaf
+// hashes (not values), so it never needs the SP's sibling data. Every update
+// is a batch: the DO checks the SP still holds its root, applies the batch
+// to its mirror, has the SP apply the same batch, and checks the roots agree
+// again. Both sides absorb a batch with one incremental MerkleTree::Update
+// (ads/batch.h), so a batch of k writes to an n-record tree costs
+// O(k log n) hashes, plus O(n - i) when it inserts at index i.
 //
 // The DO also signs each epoch's root (sequence = epoch number) so stale or
 // forked roots replayed by the SP are rejected downstream.
@@ -23,27 +24,19 @@ class AdsDo {
  public:
   explicit AdsDo(Bytes signing_key) : signer_(std::move(signing_key)) {}
 
-  /// Verified update against the SP: checks the SP still holds data
-  /// consistent with our root, then applies the put on both sides.
-  /// Returns kIntegrityViolation if the SP's proofs do not check out.
-  Status VerifiedPut(AdsSp& sp, const FeedRecord& record);
-
-  /// Verified delete (tombstoning a key out of the tree).
-  Status VerifiedDelete(AdsSp& sp, ByteSpan key);
-
   /// Batch update: applies `records` (arrival order, last write per key
-  /// wins) to the local mirror and the SP with ONE tree rebuild each, then
-  /// compares roots. Skips the per-record SP pre-proofs — root equality
-  /// after the batch gives the same divergence detection, settled at the
-  /// batch boundary instead of per record.
+  /// wins) to the local mirror and the SP. The SP's root must equal ours
+  /// before the batch (an SP fork or omission is caught even when the batch
+  /// overwrites it) and after it (the SP applied exactly this batch).
+  /// Returns kIntegrityViolation otherwise.
   Status VerifiedBatchPut(AdsSp& sp, const std::vector<FeedRecord>& records);
 
-  /// Bootstrap load without SP round-trips (initial dataset).
-  void UnverifiedPut(AdsSp& sp, const FeedRecord& record);
+  /// Verified delete (tombstoning a key out of the tree): the SP must first
+  /// prove the record our root commits to.
+  Status VerifiedDelete(AdsSp& sp, ByteSpan key);
 
-  /// Bootstrap load of a whole dataset: one mirror rebuild + one SP rebuild
-  /// (the per-record UnverifiedPut loop rebuilds per mid-array insert).
-  /// Produces the same tree as the loop — same leaves, same capacity.
+  /// Bootstrap load of a dataset without the root checks: into an empty
+  /// tree it is one O(n) build on each side.
   void BulkLoad(AdsSp& sp, const std::vector<FeedRecord>& records);
 
   Hash256 Root() const { return mirror_.Root(); }
@@ -57,7 +50,6 @@ class AdsDo {
 
  private:
   size_t LowerBound(ByteSpan key) const;
-  void ApplyLocal(size_t pos, bool existed, const FeedRecord& record);
   void ApplyBatchLocal(const std::vector<FeedRecord>& records);
 
   MacSigner signer_;

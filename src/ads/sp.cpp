@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "ads/batch.h"
+
 namespace grub::ads {
 
 AdsSp::AdsSp(const std::string& db_path) {
@@ -23,7 +25,11 @@ AdsSp::AdsSp(const std::string& db_path) {
     }
     records_.push_back(std::move(record).value());
   }
-  if (!records_.empty()) RebuildTree();
+  if (records_.empty()) return;
+  std::vector<Hash256> leaves;
+  leaves.reserve(records_.size());
+  for (const auto& r : records_) leaves.push_back(r.LeafHash());
+  tree_.Rebuild(std::move(leaves));
 }
 
 size_t AdsSp::LowerBound(ByteSpan key) const {
@@ -33,59 +39,17 @@ size_t AdsSp::LowerBound(ByteSpan key) const {
   return static_cast<size_t>(it - records_.begin());
 }
 
-void AdsSp::RebuildTree() {
-  std::vector<Hash256> leaves;
-  leaves.reserve(records_.size());
-  for (const auto& r : records_) leaves.push_back(r.LeafHash());
-  tree_.Rebuild(std::move(leaves));
-}
-
 void AdsSp::PersistRecord(const FeedRecord& record) {
   // The KVStore persists the canonical encoding keyed by the record key.
   (void)db_->Put(record.key, record.Serialize());
 }
 
-Result<Hash256> AdsSp::ApplyPut(const FeedRecord& record) {
-  const size_t pos = LowerBound(record.key);
-  if (pos < records_.size() && Compare(records_[pos].key, record.key) == 0) {
-    records_[pos] = record;
-    tree_.SetLeaf(pos, record.LeafHash());
-  } else if (pos == records_.size()) {
-    records_.push_back(record);
-    tree_.Append(record.LeafHash());
-  } else {
-    // Mid-array insert: rebuild (rare — feeds preload their key space or
-    // append in key order).
-    records_.insert(records_.begin() + static_cast<long>(pos), record);
-    RebuildTree();
-  }
-  PersistRecord(record);
-  return tree_.Root();
-}
-
-Result<Hash256> AdsSp::ApplyPutBatch(const std::vector<FeedRecord>& records) {
+Result<Hash256> AdsSp::ApplyPutBatch(std::span<const FeedRecord> records) {
   if (records.empty()) return tree_.Root();
-  std::map<Bytes, FeedRecord, BytesLess> batch;
-  for (const auto& r : records) batch[r.key] = r;  // last write wins
-
-  std::vector<FeedRecord> merged;
-  merged.reserve(records_.size() + batch.size());
-  auto it = batch.begin();
-  for (auto& existing : records_) {
-    while (it != batch.end() && Compare(it->first, existing.key) < 0) {
-      merged.push_back(it->second);
-      ++it;
-    }
-    if (it != batch.end() && Compare(it->first, existing.key) == 0) {
-      merged.push_back(it->second);
-      ++it;
-    } else {
-      merged.push_back(std::move(existing));
-    }
-  }
-  for (; it != batch.end(); ++it) merged.push_back(it->second);
-  records_ = std::move(merged);
-  RebuildTree();
+  MergeBatch(
+      records_, tree_, LastWritePerKey(records),
+      [](const FeedRecord& r) -> const Bytes& { return r.key; },
+      [](const FeedRecord& r) { return r; });
   for (const auto& r : records) PersistRecord(r);
   return tree_.Root();
 }
@@ -95,8 +59,7 @@ Status AdsSp::ApplyDelete(ByteSpan key) {
   if (pos >= records_.size() || Compare(records_[pos].key, key) != 0) {
     return Status::NotFound("ApplyDelete: no such key");
   }
-  records_.erase(records_.begin() + static_cast<long>(pos));
-  RebuildTree();
+  EraseAt(records_, tree_, pos);
   (void)db_->Delete(key);
   return Status::Ok();
 }

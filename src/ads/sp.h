@@ -4,6 +4,9 @@
 // array mirrored into (a) a Merkle tree for proofs and (b) an embedded
 // KVStore (the LevelDB stand-in) for persistence. Serves point queries,
 // absence proofs, and range scans with completeness proofs (§3.3, B.2.2).
+// Updates arrive as batches and land in the tree with one incremental
+// MerkleTree::Update (ads/batch.h): records the batch does not touch are
+// never re-serialized or re-hashed.
 //
 // The SP is the adversary in the trust model; *ForTesting mutators simulate
 // forge/omit/fork attacks so tests can confirm verification catches them.
@@ -11,6 +14,7 @@
 
 #include <map>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "ads/proofs.h"
@@ -31,19 +35,20 @@ class AdsSp {
   /// construction — an SP process restart keeps serving the same root.
   explicit AdsSp(const std::string& db_path = "");
 
-  /// Applies a DO-sent update: insert (new key) or overwrite (value and/or
-  /// replication state). Returns the new root.
-  Result<Hash256> ApplyPut(const FeedRecord& record);
+  /// Applies a DO-sent update batch (arrival order, last write per key
+  /// wins): inserts new keys, overwrites existing ones (value and/or
+  /// replication state), and persists every record. Returns the new root,
+  /// which equals a tree built from scratch over the final records.
+  Result<Hash256> ApplyPutBatch(std::span<const FeedRecord> records);
 
-  /// Applies a whole update batch (arrival order, last write per key wins)
-  /// with a single tree rebuild, and persists every record. Returns the new
-  /// root. The final tree is identical to applying the puts one by one —
-  /// Rebuild and incremental Append/SetLeaf agree on capacity (bit_ceil) and
-  /// leaves — just without the per-put O(n) mid-insert rebuilds.
-  Result<Hash256> ApplyPutBatch(const std::vector<FeedRecord>& records);
+  /// A one-record batch.
+  Result<Hash256> ApplyPut(const FeedRecord& record) {
+    return ApplyPutBatch({&record, 1});
+  }
 
-  /// Bootstrap load: ApplyPutBatch without the root hand-back (preload path).
-  void BulkLoad(const std::vector<FeedRecord>& records) {
+  /// Bootstrap load: ApplyPutBatch without the root hand-back (preload
+  /// path). Into an empty store it is one O(n) tree build.
+  void BulkLoad(std::span<const FeedRecord> records) {
     (void)ApplyPutBatch(records);
   }
 
@@ -103,17 +108,17 @@ class AdsSp {
 
   // --- adversarial mutators for security tests ---
   /// Forges the stored value without touching the tree (proofs will not
-  /// verify — forge detection).
+  /// verify — forge detection). Batches never re-hash untouched records,
+  /// so only a read of the key's proof catches it (DESIGN.md §6.1).
   void TamperValueForTesting(ByteSpan key, ByteSpan forged_value);
-  /// Rebuilds the tree over forged data (fork attack — on-chain root pins
+  /// Updates the tree over forged data (fork attack — on-chain root pins
   /// the honest version, so delivered proofs fail against it).
   void ForkForTesting(ByteSpan key, ByteSpan forged_value);
-  /// Drops a record and rebuilds (omission attack).
+  /// Drops a record and its leaf (omission attack).
   void OmitForTesting(ByteSpan key);
 
  private:
   size_t LowerBound(ByteSpan key) const;
-  void RebuildTree();
   void PersistRecord(const FeedRecord& record);
 
   struct BytesLess {

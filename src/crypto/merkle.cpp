@@ -67,39 +67,74 @@ const Hash256& MerkleTree::Leaf(size_t index) const {
   return levels_[0][index];
 }
 
-void MerkleTree::RecomputePath(size_t leaf_index) {
-  size_t index = leaf_index;
-  for (size_t level = 0; level + 1 < levels_.size(); ++level) {
-    const size_t parent = index / 2;
-    const size_t left = parent * 2;
-    levels_[level + 1][parent] =
-        HashNode(levels_[level][left], levels_[level][left + 1]);
-    index = parent;
+size_t MerkleTree::Update(std::span<const std::pair<size_t, Hash256>> sets,
+                          size_t from, std::span<const Hash256> tail) {
+  if (from > leaf_count_) {
+    throw std::out_of_range("MerkleTree::Update: tail starts past the end");
   }
+  for (size_t i = 0; i < sets.size(); ++i) {
+    if (sets[i].first >= from ||
+        (i > 0 && sets[i].first <= sets[i - 1].first)) {
+      throw std::out_of_range("MerkleTree::Update: writes not sorted/in range");
+    }
+  }
+  const size_t old_count = leaf_count_;
+  const size_t new_count = from + tail.size();
+  auto& base = levels_[0];
+  if (CapacityFor(new_count) != Capacity()) {
+    std::vector<Hash256> leaves(base.begin(),
+                                base.begin() + static_cast<long>(from));
+    for (const auto& [index, hash] : sets) leaves[index] = hash;
+    leaves.insert(leaves.end(), tail.begin(), tail.end());
+    Rebuild(std::move(leaves));
+    return Capacity() - 1;
+  }
+
+  GRUB_PROBE(telemetry::ProbeSite::kMerkleUpdate);
+  for (const auto& [index, hash] : sets) base[index] = hash;
+  std::copy(tail.begin(), tail.end(), base.begin() + static_cast<long>(from));
+  const size_t end = std::max(old_count, new_count);
+  std::fill(base.begin() + static_cast<long>(new_count),
+            base.begin() + static_cast<long>(end), EmptyLeaf());
+  leaf_count_ = new_count;
+
+  // Dirty nodes per level: the written indices below `from`, plus the whole
+  // rewritten range [lo, hi). Halving both each level visits every dirty
+  // parent once; a written index whose parent falls in the range is dropped.
+  std::vector<size_t> dirty;
+  dirty.reserve(sets.size());
+  for (const auto& write : sets) dirty.push_back(write.first);
+  size_t lo = from;
+  size_t hi = end;
+  size_t hashed = 0;
+  for (size_t level = 1; level < levels_.size(); ++level) {
+    size_t kept = 0;
+    for (size_t index : dirty) {
+      const size_t parent = index / 2;
+      if (kept == 0 || dirty[kept - 1] != parent) dirty[kept++] = parent;
+    }
+    dirty.resize(kept);
+    if (lo < hi) {
+      lo /= 2;
+      hi = (hi - 1) / 2 + 1;
+      while (!dirty.empty() && dirty.back() >= lo) dirty.pop_back();
+    }
+    const auto& below = levels_[level - 1];
+    auto& above = levels_[level];
+    for (size_t node : dirty) {
+      above[node] = HashNode(below[2 * node], below[2 * node + 1]);
+    }
+    for (size_t node = lo; node < hi; ++node) {
+      above[node] = HashNode(below[2 * node], below[2 * node + 1]);
+    }
+    hashed += dirty.size() + (hi - lo);
+  }
+  return hashed;
 }
 
 void MerkleTree::SetLeaf(size_t index, const Hash256& hash) {
-  if (index >= leaf_count_) {
-    throw std::out_of_range("MerkleTree::SetLeaf: index out of range");
-  }
-  levels_[0][index] = hash;
-  RecomputePath(index);
-}
-
-size_t MerkleTree::Append(const Hash256& hash) {
-  const size_t index = leaf_count_;
-  if (index < Capacity()) {
-    leaf_count_ += 1;
-    levels_[0][index] = hash;
-    RecomputePath(index);
-    return index;
-  }
-  // Grow: double the capacity and rebuild. Amortized O(log n) per append.
-  std::vector<Hash256> leaves(levels_[0].begin(),
-                              levels_[0].begin() + static_cast<long>(leaf_count_));
-  leaves.push_back(hash);
-  Rebuild(std::move(leaves));
-  return index;
+  const std::pair<size_t, Hash256> write{index, hash};
+  Update({&write, 1}, leaf_count_, {});
 }
 
 MerkleProof MerkleTree::ProveLeaf(size_t index) const {

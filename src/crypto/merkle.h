@@ -17,9 +17,10 @@
 //    the trusted DO) yields query *completeness*: omitting a matching record
 //    or injecting an extra one changes the recomputed root.
 //
-// Structural mutations: SetLeaf is O(log n); Append grows capacity by
-// doubling (amortized O(log n)); arbitrary-position insertion is a Rebuild,
-// which the ADS layer invokes only on (rare) out-of-order key inserts.
+// Mutation is one batched primitive, Update: a batch of leaf overwrites
+// plus a rewritten tail rehashes each dirty inner node once, so k overwrites
+// cost O(k log n) and an insert or delete at leaf i costs O(n - i). The tree
+// is rebuilt from scratch only when the power-of-two capacity changes.
 #pragma once
 
 #include <cstddef>
@@ -77,11 +78,24 @@ class MerkleTree {
   Hash256 Root() const;
   const Hash256& Leaf(size_t index) const;
 
-  /// Replaces the leaf at `index` and recomputes the path to the root.
-  void SetLeaf(size_t index, const Hash256& hash);
+  /// The live leaves, in index order.
+  std::span<const Hash256> Leaves() const {
+    return {levels_[0].data(), leaf_count_};
+  }
 
-  /// Appends a leaf, doubling capacity when full. Returns the new index.
-  size_t Append(const Hash256& hash);
+  /// Batched update: writes each (index, hash) of `sets` (strictly
+  /// ascending, every index below `from`), then replaces the leaves from
+  /// `from` on with `tail`, so LeafCount() becomes from + tail.size(). Each
+  /// inner node above a changed leaf is rehashed once per batch; an insert
+  /// or delete at leaf i is a tail rewrite from i, so it dirties [i, count).
+  /// A change of power-of-two capacity rebuilds instead, so Capacity() and
+  /// Root() always equal those of a tree built over the final leaves.
+  /// Returns the number of inner nodes hashed.
+  size_t Update(std::span<const std::pair<size_t, Hash256>> sets,
+                size_t from, std::span<const Hash256> tail);
+
+  /// Replaces the leaf at `index`: a one-leaf Update.
+  void SetLeaf(size_t index, const Hash256& hash);
 
   /// Discards the structure and rebuilds from scratch.
   void Rebuild(std::vector<Hash256> leaves);
@@ -122,8 +136,6 @@ class MerkleTree {
   static Hash256 EmptyLeaf() { return Hash256{}; }
 
  private:
-  void RecomputePath(size_t leaf_index);
-
   // levels_[0] = leaves (padded); levels_.back() = single root entry.
   std::vector<std::vector<Hash256>> levels_;
   size_t leaf_count_ = 0;

@@ -145,10 +145,9 @@ void DoClient::Preload(const std::vector<std::pair<Bytes, Bytes>>& records) {
     StorageManagerContract::PreloadReplica(genesis, key, value, live);
     if (live) replicas_on_chain_.insert(key);
   }
-  // Bulk-load the forest: one rebuild per shard instead of a per-record
-  // insert loop (which is quadratic on large keyspaces). The final trees are
-  // identical — same sorted leaves, same bit_ceil capacity — so the
-  // published digest matches the legacy path bit-for-bit.
+  // Bulk-load the forest: one O(n) tree build per shard. Every tree equals
+  // a from-scratch build over its sorted leaves (same bit_ceil capacity), so
+  // the published digest does not depend on how the records were loaded.
   ads_do_.BulkLoad(sp_, feed_records);
   const std::vector<uint32_t> touched_shards = ads_do_.TakeTouchedShards();
   last_epoch_touched_shards_ = touched_shards.size();
@@ -222,43 +221,27 @@ chain::Receipt DoClient::EndEpoch() {
   touched_.clear();
 
   // 2. Actuate on the ADS: apply writes carrying their decided state (the
-  // authenticated state bit syncs here). Single-shard deployments keep the
-  // legacy per-record verified-put protocol (per-record SP pre-proofs);
-  // sharded ones batch per shard — one rebuild on each side per touched
-  // shard, with divergence detection at batch granularity (root equality).
+  // authenticated state bit syncs here), one verified batch per touched
+  // shard — the same protocol at every shard count.
   const size_t shard_count = sp_.ShardCount();
   std::vector<Hash256> pre_roots(shard_count);
+  std::vector<std::vector<ads::FeedRecord>> batches(shard_count);
   for (uint32_t s = 0; s < shard_count; ++s) {
     pre_roots[s] = ads_do_.ShardRoot(s);
   }
-  if (shard_count == 1) {
-    for (auto& write : pending_writes_) {
-      const ads::ReplState state = policy_->StateOf(write.key);
-      ads::FeedRecord record{write.key, write.value, state};
-      Status s = ads_do_.VerifiedPut(sp_, record);
-      if (!s.ok()) {
-        throw std::runtime_error("DoClient: verified put failed: " +
-                                 s.ToString());
-      }
-      (void)value_cache_->Put(write.key, write.value);
-      known_keys_.insert(write.key);
-    }
-  } else {
-    std::vector<std::vector<ads::FeedRecord>> batches(shard_count);
-    for (auto& write : pending_writes_) {
-      const ads::ReplState state = policy_->StateOf(write.key);
-      batches[sp_.Map().ShardOf(write.key)].push_back(
-          ads::FeedRecord{write.key, write.value, state});
-      (void)value_cache_->Put(write.key, write.value);
-      known_keys_.insert(write.key);
-    }
-    for (uint32_t s = 0; s < shard_count; ++s) {
-      if (batches[s].empty()) continue;
-      Status st = ads_do_.VerifiedBatchPut(sp_, s, batches[s]);
-      if (!st.ok()) {
-        throw std::runtime_error("DoClient: verified batch put failed: " +
-                                 st.ToString());
-      }
+  for (auto& write : pending_writes_) {
+    const ads::ReplState state = policy_->StateOf(write.key);
+    batches[sp_.Map().ShardOf(write.key)].push_back(
+        ads::FeedRecord{write.key, write.value, state});
+    (void)value_cache_->Put(write.key, write.value);
+    known_keys_.insert(write.key);
+  }
+  for (uint32_t s = 0; s < shard_count; ++s) {
+    if (batches[s].empty()) continue;
+    Status st = ads_do_.VerifiedBatchPut(sp_, s, batches[s]);
+    if (!st.ok()) {
+      throw std::runtime_error("DoClient: verified batch put failed: " +
+                               st.ToString());
     }
   }
 

@@ -170,14 +170,6 @@ ShardedAdsDo::ShardedAdsDo(ShardMap map, Bytes signing_key)
   for (size_t s = 0; s < map_.Count(); ++s) dos_.emplace_back(signing_key);
 }
 
-Status ShardedAdsDo::VerifiedPut(ShardedAdsSp& sp,
-                                 const ads::FeedRecord& record) {
-  const uint32_t s = map_.ShardOf(record.key);
-  Status status = dos_[s].VerifiedPut(sp.Shard(s), record);
-  if (status.ok()) touched_.insert(s);
-  return status;
-}
-
 Status ShardedAdsDo::VerifiedBatchPut(
     ShardedAdsSp& sp, uint32_t s,
     const std::vector<ads::FeedRecord>& records) {
@@ -189,6 +181,13 @@ Status ShardedAdsDo::VerifiedBatchPut(
     }
   }
   Status status = dos_[s].VerifiedBatchPut(sp.Shard(s), records);
+  if (status.ok()) touched_.insert(s);
+  return status;
+}
+
+Status ShardedAdsDo::VerifiedDelete(ShardedAdsSp& sp, ByteSpan key) {
+  const uint32_t s = map_.ShardOf(key);
+  Status status = dos_[s].VerifiedDelete(sp.Shard(s), key);
   if (status.ok()) touched_.insert(s);
   return status;
 }

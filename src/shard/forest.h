@@ -2,12 +2,12 @@
 // root-of-roots.
 //
 // Layout. A ShardMap partitions the keyspace; each shard holds its own
-// sorted record array + Merkle tree (the existing AdsDo/AdsSp machinery,
-// unchanged). The forest commitment is the root-of-roots: a Merkle tree
-// whose leaves are the shard roots in shard order (padded to a power of two
-// with empty leaves, exactly like the record trees). With one shard the
-// root-of-roots IS the shard root — no extra hashing, so the single-shard
-// configuration is bit-identical to the legacy single-tree deployment.
+// sorted record array + Merkle tree (one AdsDo/AdsSp pair per shard). The
+// forest commitment is the root-of-roots: a Merkle tree whose leaves are the
+// shard roots in shard order (padded to a power of two with empty leaves,
+// exactly like the record trees). With one shard the root-of-roots IS the
+// shard root — no extra hashing, so the single-shard configuration is
+// bit-identical to the legacy single-tree deployment.
 //
 // Proof scoping. Queries, absence proofs and scans are served per shard,
 // against that shard's root. On chain the storage manager keeps every shard
@@ -18,12 +18,16 @@
 // off-chain form: shard-root inclusion in the rollup + record inclusion in
 // the shard tree.
 //
-// Batch protocol. Per-shard gPut batches skip the per-record SP pre-proof of
-// the legacy VerifiedPut: the DO applies the whole batch to its own mirror,
-// the SP applies the same batch, and root equality after the batch detects
-// any SP divergence — the same detection the per-record proofs give, settled
-// at the epoch boundary where the signed digest is published anyway. The
-// single-shard path keeps the legacy per-record protocol untouched.
+// Batch protocol. Every shard count runs the same protocol: an epoch's
+// writes reach each shard as one gPut batch (AdsDo::VerifiedBatchPut). The
+// DO checks that the SP's shard root equals its own before the batch, so a
+// fork or omission is caught even when the batch overwrites it. It then
+// applies the batch to its mirror, has the SP apply the same batch, and
+// checks that the roots agree again. Both sides update their trees
+// incrementally, so an epoch's ADS work is O(writes × log shard size). Root
+// equality cannot see a stored record altered without a tree update: no
+// batch re-hashes an untouched record, so that forgery surfaces when a
+// read's proof fails on chain (DESIGN.md §6.1).
 #pragma once
 
 #include <functional>
@@ -112,18 +116,18 @@ class ShardedAdsDo {
 
   const ShardMap& Map() const { return map_; }
 
-  /// Legacy verified update, routed to the record's shard (per-record SP
-  /// proof round-trip; the single-shard path is the unchanged protocol).
-  Status VerifiedPut(ShardedAdsSp& sp, const ads::FeedRecord& record);
-
   /// Per-shard batch: applies `records` (arrival order, last write per key
-  /// wins) to shard `s` on both sides with ONE tree rebuild each, then
-  /// compares roots. Records must all map to shard `s`.
+  /// wins) to shard `s` on both sides with one incremental tree update
+  /// each, comparing the shard roots before and after (AdsDo::
+  /// VerifiedBatchPut). Records must all map to shard `s`.
   Status VerifiedBatchPut(ShardedAdsSp& sp, uint32_t s,
                           const std::vector<ads::FeedRecord>& records);
 
+  /// Verified delete, routed to the key's shard (AdsDo::VerifiedDelete).
+  Status VerifiedDelete(ShardedAdsSp& sp, ByteSpan key);
+
   /// Bootstrap load: partitions records by shard and bulk-loads each side
-  /// with one rebuild per shard (no SP round-trips, no quadratic preload).
+  /// (no root checks; into empty shards one O(n) build per shard).
   void BulkLoad(ShardedAdsSp& sp, const std::vector<ads::FeedRecord>& records);
 
   Hash256 ShardRoot(size_t s) const { return dos_[s].Root(); }

@@ -1,7 +1,7 @@
 // Hot-path profiling probes: scoped nanosecond counters on the few code
-// paths measurement has shown dominate runtime (Merkle group rebuild,
-// sha256, deliver codec, kvstore get/put). Each site exports count / total
-// / max nanoseconds — the evidence base for choosing parallelization
+// paths measurement has shown dominate runtime (Merkle rebuild and batched
+// update, sha256, deliver codec, kvstore get/put). Each site exports count /
+// total / max nanoseconds — the evidence base for choosing parallelization
 // targets (ROADMAP item 2).
 //
 // Usage at a site:
@@ -46,6 +46,7 @@ enum class ProbeSite : size_t {
   kCodecDecode,
   kKvGet,
   kKvPut,
+  kMerkleUpdate,
   kCount,
 };
 
@@ -101,6 +102,7 @@ class ProfileRegistry {
     static const char* kNames[kSites] = {
         "merkle.rebuild", "sha256.digest", "codec.encode",
         "codec.decode",   "kv.get",        "kv.put",
+        "merkle.update",
     };
     return kNames[static_cast<size_t>(site)];
   }

@@ -14,11 +14,12 @@ using workload::MakeKey;
 
 struct Fixture {
   Fixture() : ads_do(ToBytes("do-key")) {
+    std::vector<FeedRecord> records;
     for (uint64_t i = 0; i < 8; ++i) {
-      FeedRecord record{MakeKey(i), ToBytes("value" + std::to_string(i)),
-                        ReplState::kNR};
-      ads_do.UnverifiedPut(sp, record);
+      records.push_back({MakeKey(i), ToBytes("value" + std::to_string(i)),
+                         ReplState::kNR});
     }
+    ads_do.BulkLoad(sp, records);
     honest_root = ads_do.Root();
   }
 
@@ -65,7 +66,7 @@ TEST(Adversarial, ReplayedStaleProofFailsAfterUpdate) {
   ASSERT_TRUE(stale.ok());
   // The DO publishes an update; the old proof replays against the new root.
   FeedRecord fresh{MakeKey(2), ToBytes("fresh"), ReplState::kNR};
-  ASSERT_TRUE(f.ads_do.VerifiedPut(f.sp, fresh).ok());
+  ASSERT_TRUE(f.ads_do.VerifiedBatchPut(f.sp, {fresh}).ok());
   EXPECT_FALSE(VerifyQuery(f.ads_do.Root(), *stale));
 }
 
@@ -127,17 +128,21 @@ TEST(Adversarial, AbsenceForExistingKeyViaForeignWindowFails) {
 TEST(Adversarial, DoDetectsDivergenceDuringVerifiedPut) {
   Fixture f;
   f.sp.ForkForTesting(MakeKey(1), ToBytes("FORGED"));
-  // The DO's verified update protocol (w1) must refuse to proceed.
+  // The DO's verified update protocol (w1) must refuse to proceed, even
+  // though the batch overwrites the forked record: the root check before
+  // the batch sees the fork.
   FeedRecord update{MakeKey(1), ToBytes("legit"), ReplState::kNR};
-  Status s = f.ads_do.VerifiedPut(f.sp, update);
+  Status s = f.ads_do.VerifiedBatchPut(f.sp, {update});
   EXPECT_EQ(s.code(), StatusCode::kIntegrityViolation);
 }
 
 TEST(Adversarial, DoDetectsOmissionDuringVerifiedPut) {
   Fixture f;
   f.sp.OmitForTesting(MakeKey(1));
+  // Re-inserting the omitted record would heal the SP's tree; the root
+  // check before the batch catches the omission first.
   FeedRecord update{MakeKey(1), ToBytes("legit"), ReplState::kNR};
-  Status s = f.ads_do.VerifiedPut(f.sp, update);
+  Status s = f.ads_do.VerifiedBatchPut(f.sp, {update});
   EXPECT_EQ(s.code(), StatusCode::kIntegrityViolation);
 }
 

@@ -17,11 +17,12 @@ using workload::MakeKey;
 
 struct Fixture {
   Fixture() : ads_do(ToBytes("do-key")) {
+    std::vector<FeedRecord> records;
     for (uint64_t i = 0; i < 8; ++i) {
-      FeedRecord record{MakeKey(i), ToBytes("value" + std::to_string(i)),
-                       ReplState::kNR};
-      ads_do.UnverifiedPut(sp, record);
+      records.push_back({MakeKey(i), ToBytes("value" + std::to_string(i)),
+                         ReplState::kNR});
     }
+    ads_do.BulkLoad(sp, records);
     honest_root = ads_do.Root();
   }
 
@@ -97,7 +98,7 @@ TEST(Forgery, StaleRootReplayIsRootMismatch) {
   Fixture f;
   QueryProof stale = f.Proof(2);
   FeedRecord fresh{MakeKey(2), ToBytes("fresh"), ReplState::kNR};
-  ASSERT_TRUE(f.ads_do.VerifiedPut(f.sp, fresh).ok());
+  ASSERT_TRUE(f.ads_do.VerifiedBatchPut(f.sp, {fresh}).ok());
   // The pre-update proof was honestly produced; against the advanced root
   // it is exactly a stale-root replay.
   EXPECT_EQ(CheckQuery(f.ads_do.Root(), stale), ProofReject::kRootMismatch);
@@ -109,11 +110,12 @@ TEST(Forgery, CrossShardSpliceIsRootMismatch) {
   Fixture shard_a;
   AdsSp other_sp;
   AdsDo other_do(ToBytes("other-do"));
+  std::vector<FeedRecord> records;
   for (uint64_t i = 0; i < 8; ++i) {
-    FeedRecord record{MakeKey(i), ToBytes("other" + std::to_string(i)),
-                     ReplState::kNR};
-    other_do.UnverifiedPut(other_sp, record);
+    records.push_back({MakeKey(i), ToBytes("other" + std::to_string(i)),
+                       ReplState::kNR});
   }
+  other_do.BulkLoad(other_sp, records);
   auto spliced = other_sp.Get(MakeKey(3));
   ASSERT_TRUE(spliced.ok());
   EXPECT_EQ(CheckQuery(other_do.Root(), *spliced), ProofReject::kNone);

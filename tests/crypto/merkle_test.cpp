@@ -2,6 +2,9 @@
 // adversarial proof manipulation. These invariants carry the whole ADS.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <set>
+
 #include "common/rng.h"
 #include "crypto/merkle.h"
 
@@ -109,16 +112,93 @@ TEST(Merkle, SetLeafMatchesRebuild) {
 }
 
 TEST(Merkle, AppendMatchesRebuild) {
+  // An append is a one-leaf tail after the last leaf.
   std::vector<Hash256> leaves;
   MerkleTree incremental;
   for (size_t i = 0; i < 40; ++i) {
     leaves.push_back(Hash256::FromU64(i + 5));
-    const size_t index = incremental.Append(leaves.back());
-    EXPECT_EQ(index, i);
+    incremental.Update({}, i, std::span(&leaves.back(), 1));
+    EXPECT_EQ(incremental.LeafCount(), i + 1);
     MerkleTree rebuilt(leaves);
     ASSERT_EQ(incremental.Root(), rebuilt.Root()) << "append " << i;
     ASSERT_EQ(incremental.Capacity(), rebuilt.Capacity());
   }
+}
+
+// Every inner node above a dirty leaf, as (level, node) pairs.
+std::set<std::pair<size_t, size_t>> Ancestors(const std::set<size_t>& dirty,
+                                              size_t capacity) {
+  std::set<std::pair<size_t, size_t>> nodes;
+  for (size_t leaf : dirty) {
+    size_t node = leaf;
+    for (size_t width = capacity, level = 1; width > 1; width /= 2, ++level) {
+      node /= 2;
+      nodes.emplace(level, node);
+    }
+  }
+  return nodes;
+}
+
+TEST(Merkle, BatchedUpdateMatchesRebuild) {
+  // Differential, seeded: random overwrite sets plus random tail rewrites
+  // (inserts, deletes, appends, truncations) on trees of 0-300 leaves, with
+  // tail lengths steered onto power-of-two boundaries so batches cross
+  // capacity in both directions. After every batch the tree must equal a
+  // from-scratch build, and when capacity held it must have hashed exactly
+  // the ancestors of the changed leaves, each once.
+  Rng rng(20261017);
+  size_t capacity_changes = 0;
+  for (int round = 0; round < 120; ++round) {
+    std::vector<Hash256> leaves =
+        MakeLeaves(rng.NextBounded(301), static_cast<uint64_t>(round) << 20);
+    MerkleTree tree(leaves);
+    for (int batch = 0; batch < 6; ++batch) {
+      const size_t count = leaves.size();
+      const size_t from =
+          rng.NextBool(0.3) ? count : rng.NextBounded(count + 1);
+      size_t new_count = from + rng.NextBounded(301 - from);
+      if (rng.NextBool(0.4)) {
+        const size_t boundary = size_t{1} << rng.NextBounded(9);  // 1..256
+        new_count = std::max(from, boundary + rng.NextBounded(3) - 1);
+      }
+      std::set<size_t> set_indices;
+      const size_t writes = from == 0 ? 0 : rng.NextBounded(12);
+      for (size_t w = 0; w < writes; ++w) {
+        set_indices.insert(rng.NextBounded(from));
+      }
+      std::vector<std::pair<size_t, Hash256>> sets;
+      for (size_t index : set_indices) {
+        sets.emplace_back(index, Hash256::FromU64(rng.NextU64()));
+        leaves[index] = sets.back().second;
+      }
+      std::vector<Hash256> tail(new_count - from);
+      for (auto& leaf : tail) leaf = Hash256::FromU64(rng.NextU64());
+      leaves.resize(from);
+      leaves.insert(leaves.end(), tail.begin(), tail.end());
+
+      const size_t capacity_before = tree.Capacity();
+      const size_t hashed = tree.Update(sets, from, tail);
+      MerkleTree rebuilt(leaves);
+      ASSERT_EQ(tree.Root(), rebuilt.Root())
+          << "round " << round << " batch " << batch;
+      ASSERT_EQ(tree.Capacity(), rebuilt.Capacity());
+      ASSERT_EQ(tree.LeafCount(), leaves.size());
+      ASSERT_TRUE(std::equal(leaves.begin(), leaves.end(),
+                             tree.Leaves().begin(), tree.Leaves().end()));
+      if (tree.Capacity() != capacity_before) {
+        capacity_changes += 1;
+        EXPECT_EQ(hashed, tree.Capacity() - 1);
+        continue;
+      }
+      std::set<size_t> dirty = set_indices;
+      for (size_t i = from; i < std::max(count, new_count); ++i) {
+        dirty.insert(i);
+      }
+      EXPECT_EQ(hashed, Ancestors(dirty, tree.Capacity()).size())
+          << "round " << round << " batch " << batch;
+    }
+  }
+  EXPECT_GT(capacity_changes, 50u);  // the boundary steering did its job
 }
 
 TEST(Merkle, TamperedLeafFailsVerification) {
@@ -298,6 +378,11 @@ TEST(Merkle, OutOfRangeAccessesThrow) {
   MerkleTree tree(MakeLeaves(4));
   EXPECT_THROW(tree.Leaf(4), std::out_of_range);
   EXPECT_THROW(tree.SetLeaf(4, Hash256{}), std::out_of_range);
+  const std::pair<size_t, Hash256> unsorted[] = {{2, {}}, {1, {}}};
+  EXPECT_THROW(tree.Update(unsorted, 4, {}), std::out_of_range);
+  const std::pair<size_t, Hash256> in_tail[] = {{3, {}}};
+  EXPECT_THROW(tree.Update(in_tail, 3, {}), std::out_of_range);
+  EXPECT_THROW(tree.Update({}, 5, {}), std::out_of_range);  // past the end
   EXPECT_THROW(tree.ProveLeaf(4), std::out_of_range);
   EXPECT_THROW(tree.ProveRange(3, 3), std::out_of_range);
   EXPECT_THROW(tree.ProveLeaves({9}), std::out_of_range);

@@ -4,6 +4,7 @@
 // the replicate-hint channel must be Gas-only.
 #include <gtest/gtest.h>
 
+#include "ads/verify.h"
 #include "grub/system.h"
 #include "workload/trace.h"
 
@@ -125,6 +126,73 @@ TEST(SecurityE2E, ForkedSpCannotServeAnyReads) {
   f.system.Chain().SubmitAndMine(std::move(run));
   f.system.Daemon().PollAndServe();
   EXPECT_EQ(f.system.Consumer().values_received(), 0u);
+}
+
+TEST(SecurityE2E, TamperedRecordIsCaughtAtItsReadNotAtTheNextBatch) {
+  // Four shards of four keys. The SP alters a stored value without touching
+  // its tree. Epochs that write OTHER keys of the same shard neither re-hash
+  // the tampered record nor notice it: the pre- and post-batch roots still
+  // agree. The forgery surfaces when the key is read: its deliver reverts
+  // on chain with a typed ProofReject, and no forged byte reaches the
+  // consumer.
+  SystemOptions options;
+  options.shard_boundaries = IndexedKeyBoundaries(16, 4);
+  GrubSystem system(options, MakeBL1());
+  std::vector<std::pair<Bytes, Bytes>> records;
+  for (uint64_t i = 0; i < 16; ++i) {
+    records.emplace_back(MakeKey(i), Bytes(32, static_cast<uint8_t>(i + 1)));
+  }
+  system.Preload(records);
+  const Bytes target = MakeKey(5);
+  const uint32_t shard = system.Shards().ShardOf(target);
+  ASSERT_EQ(system.Shards().ShardOf(MakeKey(4)), shard);
+  ASSERT_EQ(system.Shards().ShardOf(MakeKey(6)), shard);
+
+  const Bytes forged(32, 0xEE);
+  system.ShardedSp().Shard(shard).TamperValueForTesting(target, forged);
+  for (uint8_t epoch = 0; epoch < 3; ++epoch) {
+    system.Write(MakeKey(4), Bytes(32, static_cast<uint8_t>(0x40 + epoch)));
+    system.Write(MakeKey(6), Bytes(32, static_cast<uint8_t>(0x60 + epoch)));
+    EXPECT_NO_THROW(system.EndEpoch()) << "epoch " << epoch;
+  }
+  EXPECT_EQ(system.ShardedSp().RootOfRoots(), system.Do().Root());
+
+  // The SP serves the tampered record under its (honest) audit path.
+  system.Consumer().QueueRead(target);
+  chain::Transaction run;
+  run.from = GrubSystem::kUserAccount;
+  run.to = system.ConsumerAddress();
+  run.function = ConsumerContract::kRunFn;
+  run.calldata = ConsumerContract::EncodeRun(1);
+  system.Chain().SubmitAndMine(std::move(run));
+  DeliverEntry entry;
+  entry.kind = DeliverEntry::Kind::kQuery;
+  entry.query = system.ShardedSp().Get(target).value();
+  ASSERT_EQ(entry.query.record.value, forged);
+  entry.key = target;
+  entry.callback_contract = system.ConsumerAddress();
+  entry.callback_function = ConsumerContract::kOnDataFn;
+  chain::Transaction deliver;
+  deliver.from = GrubSystem::kSpAccount;
+  deliver.to = system.ManagerAddress();
+  deliver.function = StorageManagerContract::kDeliverFn;
+  deliver.calldata = StorageManagerContract::EncodeDeliver({entry});
+  const chain::Receipt receipt =
+      system.Chain().SubmitAndMine(std::move(deliver));
+  EXPECT_FALSE(receipt.ok());
+  EXPECT_EQ(receipt.status.code(), StatusCode::kIntegrityViolation);
+  EXPECT_NE(receipt.status.message().find(
+                ads::Name(ads::ProofReject::kRootMismatch)),
+            std::string::npos)
+      << receipt.status.ToString();
+
+  // The daemon's own deliver for the same pending read fails the same way.
+  system.Daemon().PollAndServe();
+  EXPECT_GE(system.Daemon().deliver_rejections(), 1u);
+  for (const auto& [key, value] : system.Consumer().received()) {
+    EXPECT_NE(value, forged) << "forged bytes reached the consumer";
+  }
+  EXPECT_EQ(system.Consumer().values_received(), 0u);
 }
 
 TEST(SecurityE2E, WithholdingSpIsLivenessNotIntegrity) {

@@ -1,7 +1,9 @@
 // Merkle forest: rollup identities, routed operations, touched-shard
-// tracking, batch protocol divergence detection, cross-shard scans.
+// tracking, batch protocol divergence detection, incremental trees against
+// from-scratch trees, cross-shard scans.
 #include <gtest/gtest.h>
 
+#include "../ads/random_batches.h"
 #include "ads/verify.h"
 #include "shard/forest.h"
 #include "workload/trace.h"
@@ -18,6 +20,12 @@ ads::FeedRecord Rec(uint64_t i, const char* value,
 
 ShardMap FourWay(uint64_t keys = 100) {
   return ShardMap({MakeKey(keys / 4), MakeKey(keys / 2), MakeKey(3 * keys / 4)});
+}
+
+// One record as a one-record batch to its shard.
+Status Put(ShardedAdsDo& ads_do, ShardedAdsSp& sp,
+           const ads::FeedRecord& record) {
+  return ads_do.VerifiedBatchPut(sp, sp.Map().ShardOf(record.key), {record});
 }
 
 // --- rollup ---
@@ -62,7 +70,7 @@ TEST(RootOfRoots, RollupPathVerifiesForestQuery) {
   ShardedAdsSp sp(FourWay());
   ShardedAdsDo ads_do(FourWay(), ToBytes("key"));
   for (uint64_t i = 0; i < 100; i += 10) {
-    ASSERT_TRUE(ads_do.VerifiedPut(sp, Rec(i, "v")).ok());
+    ASSERT_TRUE(Put(ads_do, sp, Rec(i, "v")).ok());
   }
   std::vector<Hash256> roots;
   for (size_t s = 0; s < sp.ShardCount(); ++s) roots.push_back(sp.ShardRoot(s));
@@ -86,7 +94,7 @@ TEST(Forest, SingleShardForestEqualsPlainTree) {
   ads::AdsSp plain;
   ShardedAdsDo ads_do{ShardMap(), ToBytes("key")};
   for (uint64_t i : {7, 2, 9, 4}) {
-    ASSERT_TRUE(ads_do.VerifiedPut(forest, Rec(i, "v")).ok());
+    ASSERT_TRUE(Put(ads_do, forest, Rec(i, "v")).ok());
     ASSERT_TRUE(plain.ApplyPut(Rec(i, "v")).ok());
   }
   EXPECT_EQ(forest.RootOfRoots(), plain.Root());
@@ -98,7 +106,7 @@ TEST(Forest, RoutedOperationsLandInMappedShard) {
   ShardedAdsSp sp(FourWay());
   ShardedAdsDo ads_do(FourWay(), ToBytes("key"));
   for (uint64_t i = 0; i < 100; i += 5) {
-    ASSERT_TRUE(ads_do.VerifiedPut(sp, Rec(i, "v")).ok());
+    ASSERT_TRUE(Put(ads_do, sp, Rec(i, "v")).ok());
   }
   EXPECT_EQ(sp.RecordCount(), 20u);
   EXPECT_EQ(ads_do.RecordCount(), 20u);
@@ -121,19 +129,18 @@ TEST(Forest, RoutedOperationsLandInMappedShard) {
 TEST(Forest, TouchedShardsTracksAndClears) {
   ShardedAdsSp sp(FourWay());
   ShardedAdsDo ads_do(FourWay(), ToBytes("key"));
-  ASSERT_TRUE(ads_do.VerifiedPut(sp, Rec(10, "v")).ok());   // shard 0
-  ASSERT_TRUE(ads_do.VerifiedPut(sp, Rec(80, "v")).ok());   // shard 3
-  ASSERT_TRUE(ads_do.VerifiedPut(sp, Rec(12, "v2")).ok());  // shard 0 again
+  ASSERT_TRUE(Put(ads_do, sp, Rec(10, "v")).ok());   // shard 0
+  ASSERT_TRUE(Put(ads_do, sp, Rec(80, "v")).ok());   // shard 3
+  ASSERT_TRUE(Put(ads_do, sp, Rec(12, "v2")).ok());  // shard 0 again
   EXPECT_EQ(ads_do.TakeTouchedShards(), (std::vector<uint32_t>{0, 3}));
   EXPECT_TRUE(ads_do.TakeTouchedShards().empty());  // cleared
-  ASSERT_TRUE(ads_do.VerifiedPut(sp, Rec(30, "v")).ok());   // shard 1
+  ASSERT_TRUE(Put(ads_do, sp, Rec(30, "v")).ok());   // shard 1
   EXPECT_EQ(ads_do.TakeTouchedShards(), (std::vector<uint32_t>{1}));
 }
 
 TEST(Forest, BatchPutMatchesPerRecordPuts) {
-  // The per-shard batch (one rebuild) must land on the same tree as the
-  // legacy per-record protocol — that equality is what lets batch roots
-  // stand in for per-record proofs.
+  // One batch must land on the same tree as the same records sent one at a
+  // time, in arrival order.
   ShardedAdsSp batch_sp(FourWay());
   ShardedAdsDo batch_do(FourWay(), ToBytes("key"));
   ShardedAdsSp seq_sp(FourWay());
@@ -142,7 +149,7 @@ TEST(Forest, BatchPutMatchesPerRecordPuts) {
                                         Rec(30, "c"), Rec(49, "d")};
   const uint32_t s = batch_sp.Map().ShardOf(MakeKey(30));
   ASSERT_TRUE(batch_do.VerifiedBatchPut(batch_sp, s, batch).ok());
-  for (const auto& r : batch) ASSERT_TRUE(seq_do.VerifiedPut(seq_sp, r).ok());
+  for (const auto& r : batch) ASSERT_TRUE(Put(seq_do, seq_sp, r).ok());
   EXPECT_EQ(batch_sp.RootOfRoots(), seq_sp.RootOfRoots());
   EXPECT_EQ(batch_do.RootOfRoots(), seq_do.RootOfRoots());
   // Last write per key won.
@@ -154,11 +161,36 @@ TEST(Forest, BatchPutMatchesPerRecordPuts) {
 TEST(Forest, BatchPutDetectsSpDivergence) {
   ShardedAdsSp sp(FourWay());
   ShardedAdsDo ads_do(FourWay(), ToBytes("key"));
-  ASSERT_TRUE(ads_do.VerifiedPut(sp, Rec(30, "honest")).ok());
+  ASSERT_TRUE(Put(ads_do, sp, Rec(30, "honest")).ok());
   sp.Shard(1).ForkForTesting(MakeKey(30), ToBytes("forged"));
   // The next batch's root comparison catches the fork.
   EXPECT_FALSE(
       ads_do.VerifiedBatchPut(sp, 1, {Rec(31, "v")}).ok());
+}
+
+TEST(Forest, BatchOverwritingAForkIsDetected) {
+  // The SP forks the very record the next batch overwrites. After the batch
+  // its tree would match the DO's again, so only the root check before the
+  // batch sees the fork.
+  ShardedAdsSp sp(FourWay());
+  ShardedAdsDo ads_do(FourWay(), ToBytes("key"));
+  ASSERT_TRUE(Put(ads_do, sp, Rec(30, "honest")).ok());
+  ASSERT_TRUE(Put(ads_do, sp, Rec(31, "honest")).ok());
+  sp.Shard(1).ForkForTesting(MakeKey(30), ToBytes("forged"));
+  EXPECT_EQ(ads_do.VerifiedBatchPut(sp, 1, {Rec(30, "next")}).code(),
+            StatusCode::kIntegrityViolation);
+}
+
+TEST(Forest, BatchReinsertingAnOmissionIsDetected) {
+  // The SP drops a record the next batch writes back: re-inserting it
+  // would heal the SP's tree, so again only the pre-batch check sees it.
+  ShardedAdsSp sp(FourWay());
+  ShardedAdsDo ads_do(FourWay(), ToBytes("key"));
+  ASSERT_TRUE(Put(ads_do, sp, Rec(30, "honest")).ok());
+  ASSERT_TRUE(Put(ads_do, sp, Rec(31, "honest")).ok());
+  sp.Shard(1).OmitForTesting(MakeKey(30));
+  EXPECT_EQ(ads_do.VerifiedBatchPut(sp, 1, {Rec(30, "next")}).code(),
+            StatusCode::kIntegrityViolation);
 }
 
 TEST(Forest, BulkLoadEqualsIncrementalLoad) {
@@ -169,7 +201,7 @@ TEST(Forest, BulkLoadEqualsIncrementalLoad) {
   std::vector<ads::FeedRecord> records;
   for (uint64_t i = 0; i < 100; i += 3) records.push_back(Rec(i, "v"));
   bulk_do.BulkLoad(bulk_sp, records);
-  for (const auto& r : records) ASSERT_TRUE(seq_do.VerifiedPut(seq_sp, r).ok());
+  for (const auto& r : records) ASSERT_TRUE(Put(seq_do, seq_sp, r).ok());
   EXPECT_EQ(bulk_sp.RootOfRoots(), seq_sp.RootOfRoots());
   EXPECT_EQ(bulk_do.RootOfRoots(), seq_do.RootOfRoots());
   // Bulk load touches every shard that received records.
@@ -177,13 +209,70 @@ TEST(Forest, BulkLoadEqualsIncrementalLoad) {
             (std::vector<uint32_t>{0, 1, 2, 3}));
 }
 
+// --- incremental trees vs from-scratch trees ---
+
+class ForestDifferential : public ::testing::TestWithParam<size_t> {};
+
+TEST_P(ForestDifferential, RandomBatchesMatchFromScratchTrees) {
+  // Differential, seeded: epochs of random batches (updates, repeated keys,
+  // inserts at the front/middle/end) split by shard as DoClient sends them,
+  // plus deletes. After each, every shard's DO root, SP root and capacity
+  // must equal a from-scratch tree over that shard's records. The 4-way map
+  // starts with two empty shards that fill from the front and end inserts.
+  const ShardMap map =
+      GetParam() == 1
+          ? ShardMap()
+          : ShardMap({MakeKey(380), MakeKey(480), MakeKey(600)});
+  for (uint64_t seed = 1; seed <= 6; ++seed) {
+    ads::BatchGen gen(seed);
+    ShardedAdsSp sp(map);
+    ShardedAdsDo ads_do(map, ToBytes("key"));
+    ads::Model model;
+    ads_do.BulkLoad(sp, gen.Seed(model));
+    for (int step = 0; step < 60; ++step) {
+      if (!model.empty() && gen.rng.NextBool(0.2)) {
+        const uint64_t id = gen.Existing(model);
+        ASSERT_TRUE(ads_do.VerifiedDelete(sp, MakeKey(id)).ok());
+        model.erase(id);
+      } else {
+        std::vector<std::vector<ads::FeedRecord>> by_shard(map.Count());
+        for (auto& record : gen.Next(model)) {
+          by_shard[map.ShardOf(record.key)].push_back(std::move(record));
+        }
+        for (uint32_t s = 0; s < map.Count(); ++s) {
+          if (by_shard[s].empty()) continue;
+          ASSERT_TRUE(ads_do.VerifiedBatchPut(sp, s, by_shard[s]).ok());
+        }
+      }
+      std::vector<ads::Model> shard_models(map.Count());
+      for (const auto& [id, record] : model) {
+        shard_models[map.ShardOf(record.key)][id] = record;
+      }
+      std::vector<Hash256> roots;
+      for (size_t s = 0; s < map.Count(); ++s) {
+        const MerkleTree expected = ads::FromScratch(shard_models[s]);
+        ASSERT_EQ(ads_do.ShardRoot(s), expected.Root())
+            << "seed " << seed << " step " << step << " shard " << s;
+        ASSERT_EQ(sp.ShardRoot(s), expected.Root());
+        ASSERT_EQ(sp.Shard(s).Capacity(), expected.Capacity());
+        roots.push_back(expected.Root());
+      }
+      ASSERT_EQ(ads_do.RootOfRoots(), ComputeRootOfRoots(roots));
+      ASSERT_EQ(sp.RootOfRoots(), ComputeRootOfRoots(roots));
+      ASSERT_EQ(sp.RecordCount(), model.size());
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Shards, ForestDifferential, ::testing::Values(1, 4));
+
 // --- cross-shard scans ---
 
 TEST(ForestScan, SingleShardScanIsOnePart) {
   ShardedAdsSp sp{ShardMap()};
   ShardedAdsDo ads_do{ShardMap(), ToBytes("key")};
   for (uint64_t i = 0; i < 10; ++i) {
-    ASSERT_TRUE(ads_do.VerifiedPut(sp, Rec(i, "v")).ok());
+    ASSERT_TRUE(Put(ads_do, sp, Rec(i, "v")).ok());
   }
   auto parts = sp.ScanSharded(MakeKey(2), MakeKey(7));
   ASSERT_TRUE(parts.ok());
@@ -198,7 +287,7 @@ TEST(ForestScan, CrossShardScanSplitsAtBoundaries) {
   ShardedAdsSp sp(FourWay());
   ShardedAdsDo ads_do(FourWay(), ToBytes("key"));
   for (uint64_t i = 0; i < 100; ++i) {
-    ASSERT_TRUE(ads_do.VerifiedPut(sp, Rec(i, "v")).ok());
+    ASSERT_TRUE(Put(ads_do, sp, Rec(i, "v")).ok());
   }
   // [20, 80) covers shards 0..3: each part scoped to its shard, each proof
   // complete against that shard's root, records totaling the full range.
@@ -231,7 +320,7 @@ TEST(ForestScan, EmptySubrangePartsProveEmptiness) {
   ShardedAdsDo ads_do(FourWay(), ToBytes("key"));
   // Records only in shards 0 and 3; the middle shards are empty.
   for (uint64_t i : {5, 90}) {
-    ASSERT_TRUE(ads_do.VerifiedPut(sp, Rec(i, "v")).ok());
+    ASSERT_TRUE(Put(ads_do, sp, Rec(i, "v")).ok());
   }
   auto parts = sp.ScanSharded(MakeKey(0), Bytes{});  // unbounded
   ASSERT_TRUE(parts.ok());

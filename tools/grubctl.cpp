@@ -165,10 +165,10 @@ void PrintUsage() {
       "                  the stream byte-for-byte. Incompatible with --json\n"
       "                  and --feeds\n"
       "  --profile       enable the hot-path profiling probes (Merkle\n"
-      "                  rebuild, sha256, codec, kvstore) and append the\n"
-      "                  count/total/max ns table to the text report —\n"
-      "                  wall-clock, so never part of --json or --watch\n"
-      "                  output. Requires a GRUB_TELEMETRY build\n"
+      "                  rebuild and update, sha256, codec, kvstore) and\n"
+      "                  append the count/total/max ns table to the text\n"
+      "                  report — wall-clock, so never part of --json or\n"
+      "                  --watch output. Requires a GRUB_TELEMETRY build\n"
       "  --json          print one machine-readable JSON summary on stdout\n"
       "                  instead of the text report (implies --telemetry):\n"
       "                  gas totals, component x cause breakdown, per-epoch\n"
