@@ -194,34 +194,15 @@ if ! ./build/bench/grub-bench --compare bench/baselines/BENCH_leaderboard.json \
   exit 1
 fi
 
-# Shard gates. (1) The 4-shard Merkle-forest quick bench must hold its own
+# Shard gate: the 4-shard Merkle-forest quick bench must hold its own
 # scaling assertions (root-update Gas flat across the keyspace sweep, no
 # superlinear growth under sustained load) — StandaloneMain exits non-zero
 # when the report carries the failure flag. Its Gas numbers are also pinned:
 # scale_shards is part of BENCH_quick.json, so the quick-bench gate above
-# already compares them exactly.
+# already compares them exactly. shards=1 Gas-identity is the frozen-anchor
+# gate below.
 echo "=== shard gate: bench_scale_shards --quick (4-shard forest) ==="
 ./build/bench/bench_scale_shards --quick --no-timing > /tmp/grub_shard_quick.log
-
-# (2) shards=1 Gas-identity: every pre-forest bench drives the legacy
-# single-tree layout (shards defaults to 1), so its Gas must be bit-identical
-# to bench/baselines/BENCH_quick_preshard.json — the quick baseline captured
-# from the tree BEFORE the sharded control plane landed. The comparator walks
-# the baseline's benches, so the extra scale_shards report in the current run
-# is not a mismatch. This file is a historical artifact: never refresh its
-# numbers. One audited exception: the reports whose transactions crossed the
-# 1000-word Ctx(X) calldata bound (fig9/fig13a/fig14 and fig12's 1 KiB-record
-# series) were REMOVED when the bound became a hard assert — their frozen
-# numbers came from the linear tx formula evaluated outside its validity
-# domain, so they were never correct to begin with. Everything that fit the
-# bound is still pinned bit-exactly.
-echo "=== shard gate: shards=1 Gas-identity vs pre-shard baseline ==="
-if ! ./build/bench/grub-bench --compare bench/baselines/BENCH_quick_preshard.json \
-    /tmp/grub_quick_bench/BENCH_quick.json; then
-  echo "shard gate FAILED: the single-shard configuration no longer matches"
-  echo "the pre-shard baseline — the forest refactor leaked into legacy Gas."
-  exit 1
-fi
 
 # Tier gates. (1) The tier-sweep quick bench must hold its own crossover
 # assertions — at least one grid cell where the log or calldata tier beats
@@ -232,20 +213,25 @@ fi
 echo "=== tier gate: bench_tiers --quick (storage/log/calldata crossovers) ==="
 ./build/bench/bench_tiers --quick --no-timing > /tmp/grub_tier_quick.log
 
-# (2) Pre-tier Gas-identity: a binary --policy run never builds a tier
-# suffix (the empty suffix appends zero bytes), so every pre-tier bench must
-# stay bit-identical to bench/baselines/BENCH_quick_pretier.json — the quick
-# baseline frozen BEFORE the multi-tier subsystem landed. Like the pre-shard
-# file it is a historical artifact: never refresh its numbers. The same
-# Ctx(X) exception applies (see the pre-shard gate above): reports that
-# exceeded the 1000-word calldata bound were removed because their frozen
-# numbers predate the bound's enforcement and the transaction chunking that
-# keeps every tx inside the formula's validity domain.
-echo "=== tier gate: pre-tier Gas-identity vs pre-tier baseline ==="
+# (2) Frozen paper anchor: bench/baselines/BENCH_quick_pretier.json is the
+# quick baseline frozen BEFORE the multi-tier subsystem landed, and it is
+# the one baseline that is never refreshed. Every legacy configuration —
+# shards=1 (the single-tree layout) and a binary --policy run (which never
+# builds a tier suffix; the empty suffix appends zero bytes) — must stay
+# bit-identical to it. It contains every report of the older pre-shard
+# baseline with equal numbers, so this one gate covers both refactors. The
+# comparator walks the baseline's benches, so reports added since are not
+# a mismatch. One audited exception: the reports whose transactions crossed
+# the 1000-word Ctx(X) calldata bound (fig9/fig13a/fig14 and fig12's 1 KiB
+# series) were REMOVED when the bound became a hard assert — their frozen
+# numbers came from the linear tx formula evaluated outside its validity
+# domain, so they were never correct to begin with. Everything that fit the
+# bound is still pinned bit-exactly.
+echo "=== tier gate: legacy Gas-identity vs the frozen pre-tier anchor ==="
 if ! ./build/bench/grub-bench --compare bench/baselines/BENCH_quick_pretier.json \
     /tmp/grub_quick_bench/BENCH_quick.json; then
-  echo "tier gate FAILED: a binary-policy configuration no longer matches"
-  echo "the pre-tier baseline — the tier subsystem leaked into legacy Gas."
+  echo "tier gate FAILED: a legacy configuration no longer matches the frozen"
+  echo "pre-tier anchor — a refactor leaked into legacy Gas."
   exit 1
 fi
 

@@ -406,6 +406,23 @@ chain::Receipt DoClient::SubmitUpdateChunked(
     const std::vector<ads::FeedRecord>& replicated,
     const std::vector<Bytes>& evictions, const TierSuffix& tiered,
     uint32_t gas_shard) {
+  chain::Receipt receipt;
+  for (Bytes& calldata : EncodeUpdateChunks(digest, shard_roots, sharded,
+                                            replicated, evictions, tiered)) {
+    receipt = SubmitUpdate(std::move(calldata), telemetry::GasCause::kUpdateRoot,
+                           epoch_span_);
+    if (receipt.ok() || chain::IsDelayedReceipt(receipt)) {
+      per_shard_update_gas_[gas_shard] += receipt.gas_used;
+    }
+  }
+  return receipt;
+}
+
+std::vector<Bytes> DoClient::EncodeUpdateChunks(
+    const Hash256& digest,
+    const std::vector<std::pair<uint64_t, Hash256>>& shard_roots, bool sharded,
+    const std::vector<ads::FeedRecord>& replicated,
+    const std::vector<Bytes>& evictions, const TierSuffix& tiered) const {
   // Greedy packing against the Ctx(X) validity bound. Sizes are the exact
   // codec arithmetic (EncodedRecordBytes & co., unit-tested against the real
   // encodings), accumulated incrementally so chunking stays O(items).
@@ -457,24 +474,20 @@ chain::Receipt DoClient::SubmitUpdateChunked(
     chunks.back().tiered.unpins.push_back(key);
   }
 
-  chain::Receipt receipt;
+  std::vector<Bytes> payloads;
+  payloads.reserve(chunks.size());
   for (size_t c = 0; c < chunks.size(); ++c) {
     const Chunk& chunk = chunks[c];
     const std::vector<std::pair<uint64_t, Hash256>> no_roots;
-    Bytes calldata =
+    payloads.push_back(
         sharded ? StorageManagerContract::EncodeUpdateSharded(
                       digest, epoch_, c == 0 ? shard_roots : no_roots,
                       chunk.replicated, chunk.evictions, chunk.tiered)
                 : StorageManagerContract::EncodeUpdate(
                       digest, epoch_, chunk.replicated, chunk.evictions,
-                      chunk.tiered);
-    receipt = SubmitUpdate(std::move(calldata), telemetry::GasCause::kUpdateRoot,
-                           epoch_span_);
-    if (receipt.ok() || chain::IsDelayedReceipt(receipt)) {
-      per_shard_update_gas_[gas_shard] += receipt.gas_used;
-    }
+                      chunk.tiered));
   }
-  return receipt;
+  return payloads;
 }
 
 std::array<size_t, tier::kNumStorageTiers> DoClient::TierCensus() const {
@@ -628,16 +641,20 @@ void DoClient::Degrade(const std::vector<PendingRequest>& stale) {
   if (forced.empty()) return;
 
   // Roots are unchanged mid-epoch (batches apply at EndEpoch), so the
-  // current digest verifies; the transaction only publishes replicas.
-  Bytes calldata =
-      sp_.ShardCount() == 1
-          ? StorageManagerContract::EncodeUpdate(ads_do_.RootOfRoots(), epoch_,
-                                                 forced, {})
-          : StorageManagerContract::EncodeUpdateSharded(
-                ads_do_.RootOfRoots(), epoch_, {}, forced, {});
-  chain::Receipt receipt =
-      SubmitUpdate(std::move(calldata), telemetry::GasCause::kRecovery);
-  if (!receipt.ok() && !chain::IsDelayedReceipt(receipt)) return;
+  // current digest verifies; the transactions only publish replicas. The
+  // SP decides how many reads starve, so the forced set is chunked against
+  // the Ctx(X) bound like any epoch update; a set that fits ships as the
+  // one unchunked transaction. Recovery Gas stays out of the per-shard
+  // epoch-update totals.
+  bool landed = false;
+  for (Bytes& calldata : EncodeUpdateChunks(ads_do_.RootOfRoots(), {},
+                                            sp_.ShardCount() > 1, forced, {},
+                                            {})) {
+    const chain::Receipt receipt =
+        SubmitUpdate(std::move(calldata), telemetry::GasCause::kRecovery);
+    landed |= receipt.ok() || chain::IsDelayedReceipt(receipt);
+  }
+  if (!landed) return;
   for (const auto& record : forced) {
     forced_replicas_.insert(record.key);
     replicas_on_chain_.insert(record.key);

@@ -193,19 +193,26 @@ class DoClient {
       const std::vector<uint32_t>& tree_touched,
       const std::vector<ads::FeedRecord>& replicated,
       const std::vector<Bytes>& evictions, const TierSuffix& tiered);
-  /// Splits one logical update into as many update() transactions as the
-  /// Ctx(X) calldata validity bound requires (X < 1000 words — see
-  /// GasSchedule::kMaxCalldataBytes). Every chunk carries the same digest
-  /// and epoch (re-storing the root is idempotent); only the first carries
-  /// the shard roots. The common small epoch stays one transaction with
-  /// byte-identical calldata to the unchunked encoding. Update Gas is
-  /// accumulated into per_shard_update_gas_[gas_shard].
+  /// Sends one logical epoch update as EncodeUpdateChunks' transactions,
+  /// accumulating their Gas into per_shard_update_gas_[gas_shard]. Returns
+  /// the last receipt.
   chain::Receipt SubmitUpdateChunked(
       const Hash256& digest,
       const std::vector<std::pair<uint64_t, Hash256>>& shard_roots,
       bool sharded, const std::vector<ads::FeedRecord>& replicated,
       const std::vector<Bytes>& evictions, const TierSuffix& tiered,
       uint32_t gas_shard);
+  /// Splits one logical update into as many update() payloads as the
+  /// Ctx(X) calldata validity bound requires (X < 1000 words — see
+  /// GasSchedule::kMaxCalldataBytes). Every chunk carries the same digest
+  /// and epoch (re-storing the root is idempotent); only the first carries
+  /// the shard roots. The common small update stays one payload,
+  /// byte-identical to the unchunked encoding.
+  std::vector<Bytes> EncodeUpdateChunks(
+      const Hash256& digest,
+      const std::vector<std::pair<uint64_t, Hash256>>& shard_roots,
+      bool sharded, const std::vector<ads::FeedRecord>& replicated,
+      const std::vector<Bytes>& evictions, const TierSuffix& tiered) const;
   /// Force-replicates starved keys and flips into degraded mode.
   void Degrade(const std::vector<PendingRequest>& stale);
   /// Leaves degraded mode; forced keys return to policy control.

@@ -35,8 +35,8 @@ SpQuorum::SpQuorum(chain::Blockchain& chain, shard::ShardedAdsSp& sp,
     ReplicaState rep;
     // Replica 0 keeps the feed's canonical SP account — a single-replica
     // quorum submits byte-identical transactions to a bare daemon. Standbys
-    // get deterministic accounts clear of the 1001.. system and 2001.. feed
-    // ranges (the deliver path never checks the sender, only the proofs).
+    // get deterministic accounts clear of the 1001.. feed account range
+    // (the deliver path never checks the sender, only the proofs).
     rep.account = i == 0 ? sp_account
                          : kStandbyAccountBase + sp_account * kMaxReplicas +
                                static_cast<chain::Address>(i);

@@ -62,8 +62,8 @@ class StorageManagerContract : public chain::Contract {
     /// key/callback identity in backing storage), so a replayed or
     /// unsolicited delivery reverts instead of re-invoking callbacks. Off by
     /// default — handcrafted-deliver unit fixtures stay valid, and the
-    /// ledger never touches Gas either way — but the reference systems
-    /// (GrubSystem / MultiFeedSystem) always switch it on.
+    /// ledger never touches Gas either way — but GrubSystem switches it on
+    /// for every feed it deploys.
     bool enforce_request_ledger = false;
 
     bool IsAuthorizedDo(chain::Address sender) const {

@@ -225,6 +225,42 @@ TEST(SystemFault, GasConvergesToFaultFreeSteadyStateAfterFaults) {
   EXPECT_EQ(faulty_epochs.back().ops, clean_epochs.back().ops);
 }
 
+TEST(SystemFault, CrashedSpDegradesInChunkedRecoveryUpdates) {
+  SKIP_WITHOUT_FAULTS();
+  // A crashed SP starves a whole 640-read group. Degradation
+  // force-replicates every starved key, which is more calldata than one
+  // update() may carry, so the forced set must ship in chunks inside the
+  // Ctx(X) bound. The SP is untrusted: its outage must not abort the DO.
+  constexpr size_t kKeys = 640;
+  SystemOptions options = WithSchedule("sp.crash*");
+  options.ops_per_tx = kKeys;
+  GrubSystem system(options, MakeBL1());
+  system.Preload(SmallFeed(kKeys));
+  Trace trace;
+  for (int pass = 0; pass < 3; ++pass) {
+    for (uint64_t i = 0; i < kKeys; ++i) {
+      trace.push_back(Operation::Read(MakeKey(i)));
+    }
+  }
+  system.Drive(trace);
+
+  size_t recovery_updates = 0;
+  for (const auto& block : system.Chain().Blocks()) {
+    for (const auto& tx : block.transactions) {
+      EXPECT_LT(tx.calldata.size(), chain::GasSchedule::kMaxCalldataBytes);
+      if (tx.function == StorageManagerContract::kUpdateFn &&
+          tx.cause == telemetry::GasCause::kRecovery) {
+        recovery_updates += 1;
+      }
+    }
+  }
+  EXPECT_GT(system.Faults()->Fires("sp.crash"), 0u);
+  EXPECT_TRUE(system.Do().degraded());
+  EXPECT_GE(recovery_updates, 2u);  // the forced set did not fit one tx
+  // With the SP down for good, the forced replicas answered the reads.
+  EXPECT_GE(system.Consumer().values_received(), kKeys);
+}
+
 TEST(SystemFault, KvFaultsReachTheSpBackingStore) {
   SKIP_WITHOUT_FAULTS();
   // The injector threads through GrubSystem -> AdsSp -> KVStore only when

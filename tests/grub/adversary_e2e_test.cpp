@@ -145,6 +145,46 @@ TEST(AdversaryE2E, SelectiveOmissionTripsTheLivenessWatchdog) {
   ExpectDetectedAndConverged(system, reads);
 }
 
+TEST(AdversaryE2E, LoneOmittingSpDegradesInChunkedRecoveryUpdates) {
+  SKIP_WITHOUT_FAULTS();
+  // With no standby to fail over to, an SP that omits everything starves a
+  // whole 640-read group, and the DO degrades: it force-replicates every
+  // starved key. That set is more calldata than one update() may carry, so
+  // it must ship in chunks inside the Ctx(X) bound — the SP decides how
+  // many reads starve, and must not be able to abort the DO with it.
+  constexpr size_t kKeys = 640;
+  SystemOptions options;
+  options.adversary_spec = "omit*";
+  options.ops_per_tx = kKeys;
+  GrubSystem system(options, MakeBL1());
+  const auto feed = SmallFeed(kKeys);
+  system.Preload(feed);
+  workload::Trace trace;
+  for (int pass = 0; pass < 3; ++pass) {
+    for (uint64_t i = 0; i < kKeys; ++i) {
+      trace.push_back(workload::Operation::Read(MakeKey(i)));
+    }
+  }
+  system.Drive(trace);
+
+  size_t recovery_updates = 0;
+  for (const auto& block : system.Chain().Blocks()) {
+    for (const auto& tx : block.transactions) {
+      EXPECT_LT(tx.calldata.size(), chain::GasSchedule::kMaxCalldataBytes);
+      if (tx.function == StorageManagerContract::kUpdateFn &&
+          tx.cause == telemetry::GasCause::kRecovery) {
+        recovery_updates += 1;
+      }
+    }
+  }
+  EXPECT_EQ(system.Quorum().Replica(0).delivers_sent(), 0u);
+  EXPECT_TRUE(system.Do().degraded());
+  EXPECT_GE(recovery_updates, 2u);  // the forced set did not fit one tx
+  // The forced replicas answered the reads, with the DO's own values.
+  EXPECT_GE(system.Consumer().values_received(), kKeys);
+  ExpectValuesExact(system, feed);
+}
+
 TEST(AdversaryE2E, ReplayedDeliverIsRejectedByThePendingLedger) {
   SKIP_WITHOUT_FAULTS();
   GrubSystem system = TwoSpSystem("0:replay*");

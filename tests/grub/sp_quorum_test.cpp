@@ -7,7 +7,6 @@
 #include <stdexcept>
 #include <string>
 
-#include "grub/multi_feed.h"
 #include "grub/system.h"
 #include "telemetry/json.h"
 #include "workload/trace.h"
@@ -233,20 +232,17 @@ TEST(SpQuorum, ByzantineFeedFailsOverWithoutTouchingItsNeighbour) {
   // behind a 2-replica quorum, feed 1 is a classic single honest SP on the
   // SAME chain — the blast radius of a Byzantine SP is its own feed, and
   // even there failover restores every read.
-  MultiFeedSystem system;
-  FeedOptions attacked;
-  attacked.name = "attacked";
+  SystemOptions attacked;
   attacked.ops_per_tx = 1;  // one poll per read: enough polls to blacklist
   attacked.sp_replicas = 2;
   attacked.adversary_spec = "0:forge*";
   FeedOptions honest;
-  honest.name = "honest";
   honest.ops_per_tx = 1;
-  const size_t f0 = system.AddFeed(attacked, MakeBL1());
+  GrubSystem system(attacked, MakeBL1());
+  const size_t f0 = 0;
   const size_t f1 = system.AddFeed(honest, MakeBL1());
   system.Preload(f0, SmallFeed());
   system.Preload(f1, SmallFeed());
-  system.ResetGasCounters();
 
   workload::Trace reads;
   for (uint64_t i = 0; i < 6; ++i) {
@@ -254,15 +250,17 @@ TEST(SpQuorum, ByzantineFeedFailsOverWithoutTouchingItsNeighbour) {
   }
   system.DriveAll({reads, reads});
 
-  EXPECT_GE(system.Quorum(f0).Failovers(), 1u);
-  EXPECT_EQ(system.Quorum(f0).TrustOf(0), SpTrust::kBlacklisted);
-  EXPECT_GE(system.Consumer(f0).values_received() +
-                system.Consumer(f0).misses_received(),
+  Feed& attacked_feed = system.FeedAt(f0);
+  Feed& honest_feed = system.FeedAt(f1);
+  EXPECT_GE(attacked_feed.Quorum().Failovers(), 1u);
+  EXPECT_EQ(attacked_feed.Quorum().TrustOf(0), SpTrust::kBlacklisted);
+  EXPECT_GE(attacked_feed.Consumer().values_received() +
+                attacked_feed.Consumer().misses_received(),
             reads.size());
   // The honest neighbour never noticed.
-  EXPECT_EQ(system.Quorum(f1).ReplicaCount(), 1u);
-  EXPECT_EQ(system.Quorum(f1).Failovers(), 0u);
-  EXPECT_EQ(system.Consumer(f1).values_received(), reads.size());
+  EXPECT_EQ(honest_feed.Quorum().ReplicaCount(), 1u);
+  EXPECT_EQ(honest_feed.Quorum().Failovers(), 0u);
+  EXPECT_EQ(honest_feed.Consumer().values_received(), reads.size());
 }
 
 }  // namespace

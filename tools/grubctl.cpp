@@ -10,6 +10,7 @@
 // Prints the per-epoch Gas/op series, the aggregate Gas breakdown, and the
 // replication activity — everything needed to eyeball a new policy or
 // workload without writing a bench.
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -20,7 +21,6 @@
 #include <string>
 
 #include "chain/price.h"
-#include "grub/multi_feed.h"
 #include "grub/system.h"
 #include "lab/leaderboard.h"
 #include "lab/scenario.h"
@@ -85,8 +85,7 @@ void PrintUsage() {
       "                  storage | log | calldata | offchain | adaptive —\n"
       "                  overrides --policy (storage ≡ bl2, offchain ≡ bl1\n"
       "                  Gas-exactly; adaptive picks per key by the 4-way\n"
-      "                  cost argmin) and appends a placement: summary line.\n"
-      "                  Incompatible with --feeds\n"
+      "                  cost argmin) and appends a placement: summary line\n"
       "  --workload [W]  ratio:R | ycsb:X | ycsb:X,Y | oracle | btcrelay\n"
       "                  (default ratio:4); BARE --workload (no value) keeps\n"
       "                  the default spec and appends the workload-observatory\n"
@@ -105,7 +104,8 @@ void PrintUsage() {
       "                  calibrated price schedule, adversary and quorum\n"
       "                  replace --workload/--price/--adversary/--sps; the\n"
       "                  scale flags below still size the run. With\n"
-      "                  --leaderboard: restrict the matrix to scenario N\n"
+      "                  --leaderboard: restrict the matrix to scenario N.\n"
+      "                  Incompatible with --feeds (both pick the workload)\n"
       "  --leaderboard   run the policy x scenario leaderboard (gas + regret\n"
       "                  vs the price-aware offline optimal per cell) and\n"
       "                  exit; --scenario / an explicit --policy filter the\n"
@@ -149,16 +149,21 @@ void PrintUsage() {
       "                  stale-root, equivocate, omit, replay with the\n"
       "                  --faults rule grammar; '<i>:' prefixes bind a rule\n"
       "                  group to replica i (bare group = replica 0).\n"
-      "                  Attacks mutate delivers only in GRUB_FAULTS builds.\n"
-      "                  Incompatible with --feeds; seeded by --fault-seed\n"
+      "                  Attacks mutate delivers only in GRUB_FAULTS builds;\n"
+      "                  seeded by --fault-seed\n"
       "  --shards N      partition the keyspace into N Merkle-forest shards\n"
       "                  (default 1 = the legacy single tree, Gas-identical);\n"
       "                  boundaries are the preloaded-key quantiles\n"
       "  --feeds LIST    comma-separated workload specs (--workload grammar);\n"
       "                  deploys one isolated feed per spec on a SHARED chain\n"
       "                  (own contracts/accounts/shards) and reports per-feed\n"
-      "                  Gas; all feeds use --policy/--records/--shards.\n"
-      "                  Incompatible with --faults/--trace-out/--converged\n"
+      "                  Gas. Each feed is built as a --workload run would be:\n"
+      "                  --policy, --tier, --records, --shards, --price,\n"
+      "                  --range-scans, --sps, --adversary and --faults apply.\n"
+      "                  Flags whose output the multi-feed report lacks exit\n"
+      "                  2: --converged, --telemetry, --gas-breakdown,\n"
+      "                  --metrics-out, --trace-out, --trace-summary, --watch\n"
+      "                  and --profile\n"
       "  --watch N       stream one deterministic workload-observatory JSONL\n"
       "                  snapshot line ('{\"block\":...') to stdout every N\n"
       "                  blocks while driving; same seed + flags reproduce\n"
@@ -345,13 +350,25 @@ std::unique_ptr<core::ReplicationPolicy> MakeTierPolicy(
   return std::make_unique<tier::StaticTierPolicy>(t);
 }
 
+[[noreturn]] void UnknownWorkload(const std::string& spec) {
+  std::fprintf(stderr, "unknown workload: %s\n", spec.c_str());
+  std::exit(2);
+}
+
 workload::Trace MakeWorkloadSpec(const Args& args, const std::string& spec) {
   auto colon = spec.find(':');
   const std::string name = spec.substr(0, colon);
   const std::string params =
       colon == std::string::npos ? "" : spec.substr(colon + 1);
   if (name == "ratio") {
-    const double ratio = params.empty() ? 4 : std::strtod(params.c_str(), nullptr);
+    double ratio = 4;
+    if (!params.empty()) {
+      char* end = nullptr;
+      ratio = std::strtod(params.c_str(), &end);
+      if (*end != '\0' || !std::isfinite(ratio) || ratio < 0) {
+        UnknownWorkload(spec);
+      }
+    }
     return workload::FixedRatioTrace(ratio, args.ops, args.record_bytes);
   }
   if (name == "oracle") {
@@ -361,11 +378,21 @@ workload::Trace MakeWorkloadSpec(const Args& args, const std::string& spec) {
     return workload::BtcRelayBenchmarkTrace({});
   }
   if (name == "ycsb") {
+    // "X" or "X,Y" over the phases YcsbConfig::ByName knows.
+    const auto known = [](char c) {
+      return std::strchr("ABDEF", c) != nullptr && c != '\0';
+    };
+    const bool two_phases = params.size() == 3 && params[1] == ',';
+    if (!params.empty() &&
+        !(known(params[0]) &&
+          (params.size() == 1 || (two_phases && known(params[2]))))) {
+      UnknownWorkload(spec);
+    }
     const char first = params.empty() ? 'A' : params[0];
     workload::YcsbGenerator gen_a(workload::YcsbConfig::ByName(first),
                                   args.records, args.record_bytes, 1,
                                   args.key_space);
-    if (params.size() >= 3 && params[1] == ',') {
+    if (two_phases) {
       workload::YcsbGenerator gen_b(workload::YcsbConfig::ByName(params[2]),
                                     args.records, args.record_bytes, 2,
                                     args.key_space);
@@ -375,8 +402,7 @@ workload::Trace MakeWorkloadSpec(const Args& args, const std::string& spec) {
     gen_a.Generate(args.ops, trace);
     return trace;
   }
-  std::fprintf(stderr, "unknown workload: %s\n", spec.c_str());
-  std::exit(2);
+  UnknownWorkload(spec);
 }
 
 workload::Trace MakeWorkload(const Args& args) {
@@ -449,8 +475,83 @@ int RunLeaderboardCmd(const Args& args) {
   return 0;
 }
 
-// --feeds: several isolated feeds on one shared chain, per-feed Gas exact.
-int RunMultiFeed(const Args& args) {
+// The SystemOptions the flags describe. The single-feed run and every
+// --feeds feed are built from the same options.
+core::SystemOptions MakeSystemOptions(const Args& args,
+                                      const chain::GasPriceSchedule& price) {
+  core::SystemOptions options;
+  options.ops_per_tx = args.ops_per_tx;
+  options.txs_per_epoch = args.txs_per_epoch;
+  options.scan_mode = args.range_scans ? core::ScanMode::kRangeProof
+                                       : core::ScanMode::kExpandPointReads;
+  options.enable_telemetry = args.telemetry || args.gas_breakdown ||
+                             !args.metrics_out.empty() || args.json;
+  options.enable_tracing = !args.trace_out.empty() || args.trace_summary;
+  options.fault_schedule = args.faults;
+  options.fault_seed = args.fault_seed;
+  options.sp_replicas = args.sps;
+  options.adversary_spec = args.adversary;
+  options.adversary_seed = args.fault_seed;
+  options.shards = args.shards;
+  // The observatory is on for the bare --workload table, the --watch stream,
+  // and --json (which pins a workload.observatory section). Gas-invisible by
+  // contract — ci.sh diffs the Gas report with the monitor on vs off.
+  options.enable_workload_monitor =
+      args.workload_report || args.watch > 0 || args.json;
+  if (args.shards > 1) {
+    // grubctl preloads MakeKey(0..records): use the key quantiles, not the
+    // uniform u64-prefix split (ASCII keys collapse into one prefix bucket).
+    options.shard_boundaries =
+        core::IndexedKeyBoundaries(args.records, args.shards);
+  }
+  options.chain_params.price = price;
+  return options;
+}
+
+// The price-aware replay model for `trace`'s clairvoyant baseline under a
+// bare non-unit --price, calibrated by one probe run stored in `plan` (the
+// model points into it, so it must outlive the run). Runs that consume no
+// replay — a unit schedule, or neither `offline` nor --trace-summary — skip
+// the probe and get the default model.
+core::PriceReplayModel ProbePriceReplay(const Args& args,
+                                        const workload::Trace& trace,
+                                        const chain::GasPriceSchedule& price,
+                                        lab::ScenarioPlan& plan) {
+  if (price.IsUnit() ||
+      (args.policy.rfind("offline", 0) != 0 && !args.trace_summary)) {
+    return core::PriceReplayModel();
+  }
+  lab::Scenario adhoc;
+  adhoc.name = "price";
+  adhoc.make_trace = [&trace](const lab::ScenarioScale&) { return trace; };
+  adhoc.make_price = [&price](uint64_t, uint64_t) { return price; };
+  adhoc.adversary_spec = args.adversary;
+  adhoc.sp_replicas = args.sps;
+  plan = lab::PlanScenario(adhoc, ScaleFromArgs(args));
+  return plan.ReplayModel();
+}
+
+// The run's replication policy: --tier's placement policy, else --policy.
+std::unique_ptr<core::ReplicationPolicy> MakeRunPolicy(
+    const Args& args, const workload::Trace& trace,
+    const chain::GasSchedule& gas, const core::PriceReplayModel& replay) {
+  return args.tier.empty() ? MakePolicy(args.policy, trace, gas, replay)
+                           : MakeTierPolicy(args, gas);
+}
+
+std::vector<std::pair<Bytes, Bytes>> PreloadRecords(const Args& args) {
+  std::vector<std::pair<Bytes, Bytes>> preload;
+  preload.reserve(args.records);
+  for (uint64_t i = 0; i < args.records; ++i) {
+    preload.emplace_back(workload::MakeKey(i), Bytes(args.record_bytes, 0x11));
+  }
+  return preload;
+}
+
+// --feeds: one feed per workload spec on one shared chain, each built from
+// the run's SystemOptions and driven round-robin by GrubSystem::DriveAll;
+// per-feed Gas is exact.
+int RunMultiFeed(const Args& args, const core::SystemOptions& options) {
   std::vector<std::string> specs;
   for (size_t pos = 0; pos < args.feeds.size();) {
     size_t comma = args.feeds.find(',', pos);
@@ -463,62 +564,73 @@ int RunMultiFeed(const Args& args) {
     return 2;
   }
 
-  core::MultiFeedSystem system;
   std::vector<workload::Trace> traces;
-  chain::GasSchedule gas;  // default schedule (matches SystemOptions)
-  for (const auto& spec : specs) {
-    workload::Trace trace = MakeWorkloadSpec(args, spec);
-    core::FeedOptions feed;
-    feed.name = spec;
-    feed.shards = args.shards;
-    feed.shard_boundaries =
-        core::IndexedKeyBoundaries(args.records, args.shards);
-    feed.ops_per_tx = args.ops_per_tx;
-    feed.txs_per_epoch = args.txs_per_epoch;
-    system.AddFeed(std::move(feed), MakePolicy(args.policy, trace, gas));
-    traces.push_back(std::move(trace));
+  traces.reserve(specs.size());
+  std::vector<lab::ScenarioPlan> plans(specs.size());  // replay models' targets
+  std::unique_ptr<core::GrubSystem> system;
+  for (size_t i = 0; i < specs.size(); ++i) {
+    traces.push_back(MakeWorkloadSpec(args, specs[i]));
+    const core::PriceReplayModel replay = ProbePriceReplay(
+        args, traces[i], options.chain_params.price, plans[i]);
+    auto policy =
+        MakeRunPolicy(args, traces[i], options.chain_params.gas, replay);
+    try {
+      if (system == nullptr) {
+        system = std::make_unique<core::GrubSystem>(options, std::move(policy));
+      } else {
+        system->AddFeed(options, std::move(policy));
+      }
+    } catch (const std::invalid_argument& e) {
+      std::fprintf(stderr, "%s\n", e.what());
+      return 2;
+    }
   }
 
-  std::vector<std::pair<Bytes, Bytes>> preload;
-  preload.reserve(args.records);
-  for (uint64_t i = 0; i < args.records; ++i) {
-    preload.emplace_back(workload::MakeKey(i), Bytes(args.record_bytes, 0x11));
+  const auto preload = PreloadRecords(args);
+  for (size_t i = 0; i < specs.size(); ++i) system->Preload(i, preload);
+  for (size_t i = 0; i < specs.size(); ++i) {
+    system->EnableWorkloadOracle(traces[i], i);
   }
-  for (size_t i = 0; i < specs.size(); ++i) system.Preload(i, preload);
-  if (args.workload_report) system.EnableWorkloadMonitors();
-  system.ResetGasCounters();
-  system.DriveAll(traces);
+  const auto epochs = system->DriveAll(traces);
 
-  const auto stats = system.Stats();
-  uint64_t total_gas = 0;
-  for (const auto& s : stats) total_gas += s.gas;
+  const chain::Blockchain& chain = system->Chain();
+  const auto ops_of = [&](size_t feed) {
+    size_t ops = 0;
+    for (const auto& e : epochs[feed]) ops += e.ops;
+    return ops;
+  };
+  const auto per_op = [](uint64_t gas, size_t ops) {
+    return ops == 0 ? 0.0 : static_cast<double>(gas) / static_cast<double>(ops);
+  };
 
   if (args.json) {
     using telemetry::JsonValue;
     JsonValue root = JsonValue::Object();
     root.Set("policy", JsonValue::String(args.policy));
-    root.Set("total_gas", JsonValue::NumberU64(total_gas));
+    root.Set("total_gas", JsonValue::NumberU64(system->TotalGas()));
     JsonValue feeds = JsonValue::Array();
-    for (size_t fi = 0; fi < stats.size(); ++fi) {
-      const auto& s = stats[fi];
+    for (size_t fi = 0; fi < specs.size(); ++fi) {
+      core::Feed& f = system->FeedAt(fi);
       JsonValue feed = JsonValue::Object();
-      feed.Set("name", JsonValue::String(s.name));
-      feed.Set("gas", JsonValue::NumberU64(s.gas));
-      feed.Set("manager_gas", JsonValue::NumberU64(s.manager_gas));
-      feed.Set("consumer_gas", JsonValue::NumberU64(s.consumer_gas));
-      feed.Set("ops", JsonValue::NumberU64(s.ops));
-      feed.Set("per_op", JsonValue::NumberDouble(s.PerOp()));
-      feed.Set("epochs", JsonValue::NumberU64(s.epochs));
-      feed.Set("shards", JsonValue::NumberU64(s.shards));
+      feed.Set("name", JsonValue::String(specs[fi]));
+      feed.Set("gas", JsonValue::NumberU64(system->FeedGas(fi)));
+      feed.Set("manager_gas",
+               JsonValue::NumberU64(chain.GasUsedBy(f.ManagerAddress())));
+      feed.Set("consumer_gas",
+               JsonValue::NumberU64(chain.GasUsedBy(f.ConsumerAddress())));
+      feed.Set("ops", JsonValue::NumberU64(ops_of(fi)));
+      feed.Set("per_op",
+               JsonValue::NumberDouble(per_op(system->FeedGas(fi), ops_of(fi))));
+      feed.Set("epochs", JsonValue::NumberU64(epochs[fi].size()));
+      feed.Set("shards", JsonValue::NumberU64(f.ShardedSp().ShardCount()));
       JsonValue per_shard = JsonValue::Array();
-      for (uint64_t g : s.per_shard_update_gas) {
+      for (uint64_t g : f.Do().PerShardUpdateGas()) {
         per_shard.Append(JsonValue::NumberU64(g));
       }
       feed.Set("per_shard_update_gas", std::move(per_shard));
-      if (system.Workload(fi) != nullptr) {
+      if (f.Workload() != nullptr) {
         feed.Set("observatory",
-                 system.Workload(fi)->ToJson(
-                     system.Chain().CurrentBlockNumber()));
+                 f.Workload()->ToJson(chain.CurrentBlockNumber()));
       }
       feeds.Append(std::move(feed));
     }
@@ -528,22 +640,27 @@ int RunMultiFeed(const Args& args) {
   }
 
   std::printf("multi-feed: %zu feeds on one chain, %zu shard(s) each\n\n",
-              stats.size(), static_cast<size_t>(args.shards));
-  for (const auto& s : stats) {
+              specs.size(), static_cast<size_t>(args.shards));
+  for (size_t fi = 0; fi < specs.size(); ++fi) {
+    core::Feed& f = system->FeedAt(fi);
     std::printf("  %-16s %10llu Gas / %6zu ops (%.0f Gas/op), "
                 "%zu epochs  [manager %llu + consumer %llu]\n",
-                s.name.c_str(), static_cast<unsigned long long>(s.gas), s.ops,
-                s.PerOp(), s.epochs,
-                static_cast<unsigned long long>(s.manager_gas),
-                static_cast<unsigned long long>(s.consumer_gas));
+                specs[fi].c_str(),
+                static_cast<unsigned long long>(system->FeedGas(fi)),
+                ops_of(fi), per_op(system->FeedGas(fi), ops_of(fi)),
+                epochs[fi].size(),
+                static_cast<unsigned long long>(
+                    chain.GasUsedBy(f.ManagerAddress())),
+                static_cast<unsigned long long>(
+                    chain.GasUsedBy(f.ConsumerAddress())));
   }
   std::printf("\n  total: %llu Gas\n",
-              static_cast<unsigned long long>(total_gas));
+              static_cast<unsigned long long>(system->TotalGas()));
   if (args.workload_report) {
-    for (size_t fi = 0; fi < stats.size(); ++fi) {
-      if (system.Workload(fi) == nullptr) continue;
-      std::printf("feed %zu (%s):\n", fi, stats[fi].name.c_str());
-      system.Workload(fi)->PrintTable(system.Chain().CurrentBlockNumber());
+    for (size_t fi = 0; fi < specs.size(); ++fi) {
+      if (system->FeedAt(fi).Workload() == nullptr) continue;
+      std::printf("feed %zu (%s):\n", fi, specs[fi].c_str());
+      system->FeedAt(fi).Workload()->PrintTable(chain.CurrentBlockNumber());
     }
   }
   return 0;
@@ -580,23 +697,17 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "--scenario is incompatible with --feeds\n");
     return 2;
   }
-  if (!args.feeds.empty()) {
-    if (!args.faults.empty() || !args.trace_out.empty() || args.converged ||
-        !args.adversary.empty() || args.watch > 0 || !args.tier.empty()) {
-      std::fprintf(stderr,
-                   "--feeds is incompatible with --faults/--trace-out/"
-                   "--converged/--adversary/--watch/--tier\n");
-      return 2;
-    }
-    return RunMultiFeed(args);
+  // The multi-feed report prints none of these flags' output.
+  if (!args.feeds.empty() &&
+      (args.converged || args.telemetry || args.gas_breakdown ||
+       !args.metrics_out.empty() || !args.trace_out.empty() ||
+       args.trace_summary || args.watch > 0 || args.profile)) {
+    std::fprintf(stderr,
+                 "--feeds is incompatible with --converged/--telemetry/"
+                 "--gas-breakdown/--metrics-out/--trace-out/--trace-summary/"
+                 "--watch/--profile\n");
+    return 2;
   }
-
-  const bool want_tracing = !args.trace_out.empty() || args.trace_summary;
-  const bool want_telemetry = args.telemetry || args.gas_breakdown ||
-                              !args.metrics_out.empty() || args.json;
-  // With --json, stdout carries exactly one JSON document; the usual text
-  // report is suppressed (auxiliary file writes still happen).
-  const bool text = !args.json;
 
   // --scenario / --price: resolve the effective price schedule up front.
   // A scenario plan replaces the workload, schedule, adversary and quorum
@@ -626,31 +737,12 @@ int main(int argc, char** argv) {
     price = std::move(parsed).value();
   }
 
-  core::SystemOptions options;
-  options.ops_per_tx = args.ops_per_tx;
-  options.txs_per_epoch = args.txs_per_epoch;
-  options.scan_mode = args.range_scans ? core::ScanMode::kRangeProof
-                                       : core::ScanMode::kExpandPointReads;
-  options.enable_telemetry = want_telemetry;
-  options.enable_tracing = want_tracing;
-  options.fault_schedule = args.faults;
-  options.fault_seed = args.fault_seed;
-  options.sp_replicas = args.sps;
-  options.adversary_spec = args.adversary;
-  options.adversary_seed = args.fault_seed;
-  options.shards = args.shards;
-  // The observatory is on for the bare --workload table, the --watch stream,
-  // and --json (which pins a workload.observatory section). Gas-invisible by
-  // contract — ci.sh diffs the Gas report with the monitor on vs off.
-  options.enable_workload_monitor =
-      args.workload_report || args.watch > 0 || args.json;
-  if (args.shards > 1) {
-    // grubctl preloads MakeKey(0..records): use the key quantiles, not the
-    // uniform u64-prefix split (ASCII keys collapse into one prefix bucket).
-    options.shard_boundaries =
-        core::IndexedKeyBoundaries(args.records, args.shards);
-  }
-  options.chain_params.price = price;
+  core::SystemOptions options = MakeSystemOptions(args, price);
+  if (!args.feeds.empty()) return RunMultiFeed(args, options);
+
+  // With --json, stdout carries exactly one JSON document; the usual text
+  // report is suppressed (auxiliary file writes still happen).
+  const bool text = !args.json;
   if (scenario != nullptr) {
     // Explicit --adversary/--sps flags still win over the scenario's.
     if (args.adversary.empty()) options.adversary_spec = scenario->adversary_spec;
@@ -684,29 +776,16 @@ int main(int argc, char** argv) {
   // Replay model for the price-aware clairvoyant baseline: scenario plans
   // are probe-calibrated already; a bare non-unit --price run probes one
   // here, but only when something consumes it (offline / --trace-summary).
-  core::PriceReplayModel replay;
   lab::ScenarioPlan adhoc_plan;
-  if (scenario != nullptr) {
-    replay = plan.ReplayModel();
-  } else if (!price.IsUnit() &&
-             (args.policy.rfind("offline", 0) == 0 || args.trace_summary)) {
-    lab::Scenario adhoc;
-    adhoc.name = "price";
-    adhoc.make_trace = [&trace](const lab::ScenarioScale&) { return trace; };
-    adhoc.make_price = [&price](uint64_t, uint64_t) { return price; };
-    adhoc.adversary_spec = args.adversary;
-    adhoc.sp_replicas = args.sps;
-    adhoc_plan = lab::PlanScenario(adhoc, ScaleFromArgs(args));
-    replay = adhoc_plan.ReplayModel();
-  }
+  const core::PriceReplayModel replay =
+      scenario != nullptr ? plan.ReplayModel()
+                          : ProbePriceReplay(args, trace, price, adhoc_plan);
 
   std::unique_ptr<core::GrubSystem> system_ptr;
   try {
     system_ptr = std::make_unique<core::GrubSystem>(
         options,
-        args.tier.empty()
-            ? MakePolicy(args.policy, trace, options.chain_params.gas, replay)
-            : MakeTierPolicy(args, options.chain_params.gas));
+        MakeRunPolicy(args, trace, options.chain_params.gas, replay));
   } catch (const std::invalid_argument& e) {
     std::fprintf(stderr, "%s\n", e.what());
     return 2;
@@ -729,12 +808,7 @@ int main(int argc, char** argv) {
     }
   }
 
-  std::vector<std::pair<Bytes, Bytes>> preload;
-  preload.reserve(args.records);
-  for (uint64_t i = 0; i < args.records; ++i) {
-    preload.emplace_back(workload::MakeKey(i), Bytes(args.record_bytes, 0x11));
-  }
-  system.Preload(preload);
+  system.Preload(PreloadRecords(args));
   if (text) {
     std::printf("preload:  %zu records x %zu bytes\n\n", args.records,
                 args.record_bytes);
