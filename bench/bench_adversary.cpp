@@ -91,7 +91,6 @@ telemetry::BenchReport Run(const BenchOptions& opts) {
             static_cast<double>(honest.blacklists)},
            "%14.3f");
 
-#if GRUB_FAULTS
   // forge: every deliver is provably rejected (verified-detection path);
   // omit: nothing is ever submitted (liveness-watchdog path). Together they
   // cover both halves of the blacklist state machine.
@@ -122,11 +121,6 @@ telemetry::BenchReport Run(const BenchOptions& opts) {
   }
   report.notes.push_back(
       "N>=2 availability under attack held at or above the honest baseline");
-#else
-  report.notes.push_back(
-      "attack rows skipped: built with GRUB_FAULTS=0 (adversaries compiled "
-      "out; the honest row is the whole story)");
-#endif
 
   std::printf("(a Byzantine active replica costs Gas — the rejected deliver "
               "and the failover — never answers: the promoted standby "

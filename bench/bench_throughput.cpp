@@ -113,9 +113,7 @@ telemetry::BenchReport Run(const BenchOptions& opts) {
       options.enable_workload_monitor = instrument == Instrument::kMonitor;
       core::GrubSystem system(options, Memorizing(2, 1)());
       system.Preload({{workload::MakeKey(0), Bytes(32, 0x11)}});
-#if GRUB_TELEMETRY
       telemetry::ProfileRegistry::Enable(instrument == Instrument::kMonitor);
-#endif
       const auto start = std::chrono::steady_clock::now();
       for (int i = 0; i < kDrivesPerRun; ++i) {
         system.Drive(trace);
@@ -127,9 +125,7 @@ telemetry::BenchReport Run(const BenchOptions& opts) {
       const double sec = std::chrono::duration<double>(
                              std::chrono::steady_clock::now() - start)
                              .count();
-#if GRUB_TELEMETRY
       telemetry::ProfileRegistry::Enable(false);
-#endif
       return sec;
     };
     const double ops_total = static_cast<double>(trace.size() * kDrivesPerRun);

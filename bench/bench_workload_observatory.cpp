@@ -81,12 +81,6 @@ telemetry::BenchReport Run(const BenchOptions& opts) {
   const uint64_t monitored_gas = system.TotalGas();
 
   telemetry::WorkloadMonitor* monitor = system.Workload();
-  if (monitor == nullptr) {
-    std::printf("workload monitor compiled out (GRUB_TELEMETRY=OFF); "
-                "nothing to measure\n");
-    report.notes.push_back("skipped: GRUB_TELEMETRY=OFF build");
-    return report;
-  }
 
   // Ground truth: exact per-key touch counts over the driven trace (the
   // monitor sees one OnRead/OnWrite per point op; B has no scans).
@@ -206,17 +200,13 @@ telemetry::BenchReport Run(const BenchOptions& opts) {
       core::GrubSystem timed(MonitoredOptions(kRecords, kShards, monitored),
                              std::make_unique<core::MemorylessPolicy>(2));
       Preload(timed, kRecords);
-#if GRUB_TELEMETRY
       telemetry::ProfileRegistry::Enable(monitored);
-#endif
       const auto start = std::chrono::steady_clock::now();
       timed.Drive(trace);
       const double sec = std::chrono::duration<double>(
                              std::chrono::steady_clock::now() - start)
                              .count();
-#if GRUB_TELEMETRY
       telemetry::ProfileRegistry::Enable(false);
-#endif
       return sec;
     };
     double off_sec = 1e300, on_sec = 1e300;

@@ -49,18 +49,14 @@ void Blockchain::TakeBlockSnapshot() {
   snap.total_breakdown = total_breakdown_;
   snap.gas_by_contract = gas_by_contract_;
   snap.last_block_time = last_block_time_;
-#if GRUB_TELEMETRY
   if (telemetry_ != nullptr) snap.gas_matrix = telemetry_->Gas().Snapshot();
-#endif
   snapshots_.push_back(std::move(snap));
   const uint64_t keep = params_.reorg_depth == 0 ? 1 : params_.reorg_depth;
   while (snapshots_.size() > keep) snapshots_.pop_front();
 }
 
 std::vector<Receipt> Blockchain::MineBlockInternal(bool respect_propagation) {
-#if GRUB_FAULTS
   if (faults_ != nullptr) TakeBlockSnapshot();
-#endif
   Block block;
   block.number = blocks_.size() + 1;
   block.timestamp = now_;
@@ -106,9 +102,7 @@ std::vector<Receipt> Blockchain::MineBlockInternal(bool respect_propagation) {
     if (params_.block_gas_limit != 0 && !mempool_.empty() &&
         block_gas >= params_.block_gas_limit) {
       blocks_.push_back(std::move(block));
-#if GRUB_FAULTS
       if (faults_ != nullptr) TakeBlockSnapshot();
-#endif
       block = Block{};
       block.number = blocks_.size() + 1;
       block.timestamp = now_;
@@ -118,9 +112,7 @@ std::vector<Receipt> Blockchain::MineBlockInternal(bool respect_propagation) {
   mempool_ = std::move(not_yet_propagated);
   blocks_.push_back(std::move(block));
   last_receipts_ = receipts;
-#if GRUB_FAULTS
   if (GRUB_FAULT_POINT(faults_, "chain.reorg")) ReorgNonFinalBlocks();
-#endif
   return receipts;
 }
 
@@ -152,17 +144,13 @@ uint64_t Blockchain::ReorgNonFinalBlocks() {
   total_breakdown_ = snap.total_breakdown;
   gas_by_contract_ = snap.gas_by_contract;
   last_block_time_ = snap.last_block_time;
-#if GRUB_TELEMETRY
   if (telemetry_ != nullptr) telemetry_->Gas().Restore(snap.gas_matrix);
-#endif
   snapshots_.erase(snapshots_.end() - static_cast<long>(depth),
                    snapshots_.end());
-#if GRUB_TELEMETRY
   if (telemetry_ != nullptr && telemetry_->Trace() != nullptr) {
     telemetry_->Trace()->GlobalEvent("chain.reorg", CurrentBlockNumber(),
                                      "depth=" + std::to_string(depth));
   }
-#endif
   return depth;
 }
 
@@ -177,15 +165,11 @@ Receipt Blockchain::ExecuteTransaction(Transaction& tx,
   Receipt receipt;
   receipt.block_number = block_number;
 
-#if GRUB_TELEMETRY
   // The sender's declared cause scopes the whole transaction (tx base +
   // calldata included); contract handlers refine it with nested spans.
-  telemetry::Span cause_span(tx.cause);
+  telemetry::GasSpan cause_span(tx.cause);
   GasMeter meter(params_.gas,
                  telemetry_ != nullptr ? &telemetry_->Gas() : nullptr);
-#else
-  GasMeter meter(params_.gas);
-#endif
   meter.ChargeTx(tx.CalldataBytes());
 
   // Internal calls append to the history during execution, so remember this
@@ -236,7 +220,7 @@ Receipt Blockchain::ExecuteTransaction(Transaction& tx,
         exec_gas * (price.exec_milli - 1000) / 1000 +
         storage_gas * (price.storage_milli - 1000) / 1000;
     if (surcharge != 0) {
-      telemetry::Span price_span(telemetry::GasCause::kPriceShift);
+      telemetry::GasSpan price_span(telemetry::GasCause::kPriceShift);
       meter.ChargeOther(surcharge);
     }
   }
@@ -245,7 +229,6 @@ Receipt Blockchain::ExecuteTransaction(Transaction& tx,
   receipt.breakdown = meter.Breakdown();
   total_breakdown_ += meter.Breakdown();
   gas_by_contract_[tx.to] += meter.Used();
-#if GRUB_TELEMETRY
   if (telemetry_ != nullptr && tx.trace_id != 0 &&
       telemetry_->Trace() != nullptr &&
       (tx.reorg_replay || !receipt.status.ok())) {
@@ -256,7 +239,6 @@ Receipt Blockchain::ExecuteTransaction(Transaction& tx,
         tx.trace_id, tx.reorg_replay ? "tx.replayed" : "tx.executed",
         block_number, std::string("ok=") + (receipt.status.ok() ? "1" : "0"));
   }
-#endif
   return receipt;
 }
 

@@ -98,9 +98,7 @@ class Blockchain {
     // Snapshots straddling a counter reset would restore pre-reset totals;
     // a reorg cannot cross an experiment phase boundary.
     snapshots_.clear();
-#if GRUB_TELEMETRY
     if (telemetry_ != nullptr) telemetry_->ResetGas();
-#endif
   }
 
   /// Installs (or removes, with nullptr) the telemetry sink. Every metered

@@ -20,7 +20,6 @@
 #include <string>
 
 #include "common/bytes.h"
-#include "telemetry/config.h"
 #include "telemetry/gas_attribution.h"
 
 namespace grub::chain {
@@ -111,23 +110,15 @@ struct GasBreakdown {
 /// Meters Gas against the schedule. Optionally mirrors every charge into a
 /// telemetry::GasAttribution (component + ambient GasSpan cause); the mirror
 /// never changes the metered amounts, so Gas results are identical with
-/// attribution present, absent, or compiled out (GRUB_TELEMETRY=0).
+/// attribution present or null (the `identity` ctest pins this).
 class GasMeter {
  public:
   explicit GasMeter(const GasSchedule& schedule,
-                    [[maybe_unused]] telemetry::GasAttribution* attribution =
-                        nullptr)
-      : schedule_(schedule)
-#if GRUB_TELEMETRY
-        ,
-        attribution_(attribution)
-#endif
-  {
-  }
+                    telemetry::GasAttribution* attribution = nullptr)
+      : schedule_(schedule), attribution_(attribution) {}
 
   void ChargeTx(uint64_t calldata_bytes) {
     breakdown_.tx += schedule_.TxCost(calldata_bytes);
-#if GRUB_TELEMETRY
     if (attribution_ != nullptr) {
       // Split the lump Ctx(X) into its base and marginal-calldata parts so
       // the breakdown can answer "what does shipping the data itself cost".
@@ -136,60 +127,47 @@ class GasMeter {
           telemetry::GasComponent::kCalldata,
           schedule_.tx_per_word * WordsForBytes(calldata_bytes));
     }
-#endif
   }
   void ChargeInsert(uint64_t words) {
     breakdown_.storage_insert += schedule_.InsertCost(words);
-#if GRUB_TELEMETRY
     if (attribution_ != nullptr) {
       attribution_->Record(telemetry::GasComponent::kSstoreInsert,
                            schedule_.InsertCost(words));
     }
-#endif
   }
   void ChargeUpdate(uint64_t words) {
     breakdown_.storage_update += schedule_.UpdateCost(words);
-#if GRUB_TELEMETRY
     if (attribution_ != nullptr) {
       attribution_->Record(telemetry::GasComponent::kSstoreUpdate,
                            schedule_.UpdateCost(words));
     }
-#endif
   }
   void ChargeRead(uint64_t words) {
     breakdown_.storage_read += schedule_.ReadCost(words);
-#if GRUB_TELEMETRY
     if (attribution_ != nullptr) {
       attribution_->Record(telemetry::GasComponent::kSload,
                            schedule_.ReadCost(words));
     }
-#endif
   }
   void ChargeHash(uint64_t words) {
     breakdown_.hash += schedule_.HashCost(words);
-#if GRUB_TELEMETRY
     if (attribution_ != nullptr) {
       attribution_->Record(telemetry::GasComponent::kHash,
                            schedule_.HashCost(words));
     }
-#endif
   }
   void ChargeLog(uint64_t topics, uint64_t data_bytes) {
     breakdown_.log += schedule_.LogCost(topics, data_bytes);
-#if GRUB_TELEMETRY
     if (attribution_ != nullptr) {
       attribution_->Record(telemetry::GasComponent::kLog,
                            schedule_.LogCost(topics, data_bytes));
     }
-#endif
   }
   void ChargeOther(uint64_t gas) {
     breakdown_.other += gas;
-#if GRUB_TELEMETRY
     if (attribution_ != nullptr) {
       attribution_->Record(telemetry::GasComponent::kOther, gas);
     }
-#endif
   }
 
   uint64_t Used() const { return breakdown_.Total(); }
@@ -199,9 +177,7 @@ class GasMeter {
  private:
   GasSchedule schedule_;
   GasBreakdown breakdown_;
-#if GRUB_TELEMETRY
   telemetry::GasAttribution* attribution_ = nullptr;
-#endif
 };
 
 }  // namespace grub::chain

@@ -17,8 +17,9 @@
 // internally becomes the fail points "adv.forge", "adv.omit"), so adversary
 // behaviour inherits the injector's determinism guarantee: one (seed, spec)
 // reproduces the identical attack — and the identical detection/failover
-// sequence — on every run. Like every fault point, adversaries are compiled
-// out at GRUB_FAULTS=0 and the honest pipeline is bit-identical.
+// sequence — on every run. Like every fault point, a null adversary is the
+// off switch, and honest replicas leave Gas bit-identical (the `identity`
+// ctest enforces it).
 #pragma once
 
 #include <memory>

@@ -19,8 +19,9 @@
 //   chain.reorg@1+10            hit counting starts after the 10th hit
 //
 // Multiple rules (comma-separated) may target the same point; the point
-// fires if ANY rule matches. Sites are compiled in only when GRUB_FAULTS=1
-// (see config.h); with the toggle off the macro folds to `false`.
+// fires if ANY rule matches. A null injector is the off switch: the site
+// macro folds to one pointer test, and a null injector changes no Gas (the
+// `identity` ctest enforces it).
 #pragma once
 
 #include <cstdint>
@@ -32,7 +33,6 @@
 
 #include "common/rng.h"
 #include "common/status.h"
-#include "fault/config.h"
 
 namespace grub::telemetry {
 class Counter;
@@ -114,12 +114,7 @@ class FaultInjector {
 
 }  // namespace grub::fault
 
-// Fault-point site macro. `injector` is a `fault::FaultInjector*` (may be
-// null — sites stay cheap when no schedule is loaded). Compiles away
-// entirely when GRUB_FAULTS=0.
-#if GRUB_FAULTS
+// Fault-point site macro. `injector` is a `fault::FaultInjector*`; null is
+// the off switch (one branch, no schedule consulted, no Gas moved).
 #define GRUB_FAULT_POINT(injector, point) \
   ((injector) != nullptr && (injector)->Fire(point))
-#else
-#define GRUB_FAULT_POINT(injector, point) (false)
-#endif

@@ -60,7 +60,6 @@ Status ConsumerContract::Call(chain::CallContext& ctx,
       ctx.RecordReplayPayload(EncodeBatch(batch, scans));
     }
     for (const auto& key : batch) {
-#if GRUB_TELEMETRY
       // A reorg replay re-issues a request whose span is already open (or
       // answered); annotate it instead of opening a duplicate.
       if (tracer_ != nullptr) {
@@ -72,7 +71,6 @@ Status ConsumerContract::Call(chain::CallContext& ctx,
                                 ctx.BlockNumber());
         }
       }
-#endif
       Bytes gget_args =
           StorageManagerContract::EncodeGGet(key, address(), kOnDataFn);
       auto result = ctx.InternalCall(manager_, StorageManagerContract::kGGetFn,
@@ -80,7 +78,6 @@ Status ConsumerContract::Call(chain::CallContext& ctx,
       if (!result.ok()) return result.status();
     }
     for (const auto& [start, end] : scans) {
-#if GRUB_TELEMETRY
       if (tracer_ != nullptr) {
         if (is_replay) {
           tracer_->AnnotateRequest(start, /*is_scan=*/true, "reorg.replay",
@@ -90,7 +87,6 @@ Status ConsumerContract::Call(chain::CallContext& ctx,
                                 ctx.BlockNumber());
         }
       }
-#endif
       Bytes gscan_args = StorageManagerContract::EncodeGScan(
           start, end, address(), kOnDataFn);
       auto result = ctx.InternalCall(
@@ -105,11 +101,9 @@ Status ConsumerContract::Call(chain::CallContext& ctx,
     Bytes key = r.Blob();
     Bytes value = r.Blob();
     const bool found = r.U64() != 0;
-#if GRUB_TELEMETRY
     if (tracer_ != nullptr) {
       tracer_->CompleteRequest(key, ctx.BlockNumber(), found);
     }
-#endif
     if (found) {
       values_received_ += 1;
       received_.emplace_back(std::move(key), std::move(value));

@@ -45,9 +45,7 @@ void DoClient::SetMetrics(telemetry::MetricsRegistry* registry) {
 
 void DoClient::NoteFlip(ads::ReplState before, ads::ReplState after) {
   if (before == after) return;
-#if GRUB_TELEMETRY
   if (workload_ != nullptr) workload_->OnFlip(after == ads::ReplState::kR);
-#endif
   if (flips_nr_to_r_ == nullptr) return;
   if (after == ads::ReplState::kR) {
     flips_nr_to_r_->Increment();
@@ -88,7 +86,6 @@ void DoClient::BufferPut(Bytes key, Bytes value) {
   const ads::ReplState before = tier::ToReplState(t_before);
   const ads::ReplState after = tier::ToReplState(t_after);
   NoteFlip(before, after);
-#if GRUB_TELEMETRY
   if (workload_ != nullptr) {
     workload_->OnWrite(key, chain_.CurrentBlockNumber());
   }
@@ -97,7 +94,6 @@ void DoClient::BufferPut(Bytes key, Bytes value) {
   // the first put, and EndEpoch summarizes the batch ("puts" attr). A
   // per-write event here would put an allocation on the feed's write path.
   if (tracer_ != nullptr) EnsureEpochSpan();
-#endif
   sp_.SetAdvisoryTier(key, t_after);
   touched_.insert(key);
   pending_writes_.push_back(BufferedWrite{std::move(key), std::move(value)});
@@ -114,12 +110,10 @@ void DoClient::NoteRead(const Bytes& key) {
   const ads::ReplState before = tier::ToReplState(t_before);
   const ads::ReplState after = tier::ToReplState(t_after);
   NoteFlip(before, after);
-#if GRUB_TELEMETRY
   if (workload_ != nullptr) {
     workload_->OnRead(key, chain_.CurrentBlockNumber());
   }
   RecordFlipAudit(key, before, after, "read");
-#endif
   sp_.SetAdvisoryTier(key, t_after);
   touched_.insert(key);
 }
@@ -302,7 +296,6 @@ chain::Receipt DoClient::EndEpoch() {
   const size_t puts_this_epoch = pending_writes_.size();
   pending_writes_.clear();
 
-#if GRUB_TELEMETRY
   if (tracer_ != nullptr) {
     // EndEpoch can fire with nothing buffered (driver-forced close); the
     // span then covers just the update() transaction.
@@ -313,7 +306,6 @@ chain::Receipt DoClient::EndEpoch() {
     tracer_->SetAttr(epoch_span_, "evictions",
                      std::to_string(evictions.size()));
   }
-#endif
   std::vector<uint32_t> tree_touched = ads_do_.TakeTouchedShards();
   last_epoch_touched_shards_ = tree_touched.size();
   chain::Receipt receipt;
@@ -325,13 +317,11 @@ chain::Receipt DoClient::EndEpoch() {
     receipt = SubmitShardedEpochUpdates(std::move(pre_roots), tree_touched,
                                         replicated_updates, evictions, tiered);
   }
-#if GRUB_TELEMETRY
   if (tracer_ != nullptr) {
     tracer_->EndSpan(epoch_span_, chain_.CurrentBlockNumber(),
                      receipt.ok() || chain::IsDelayedReceipt(receipt));
     epoch_span_ = 0;
   }
-#endif
   epoch_ += 1;
   return receipt;
 }
@@ -509,7 +499,6 @@ chain::Receipt DoClient::SubmitUpdate(Bytes calldata,
        ++attempt) {
     if (attempt > 1) {
       update_retries_ += 1;
-#if GRUB_TELEMETRY
       if (update_retries_counter_ != nullptr) {
         update_retries_counter_->Increment();
       }
@@ -518,17 +507,14 @@ chain::Receipt DoClient::SubmitUpdate(Bytes calldata,
                           chain_.CurrentBlockNumber(),
                           "attempt=" + std::to_string(attempt));
       }
-#endif
       chain_.AdvanceTime(options_.retry_backoff_sec << (attempt - 2));
     }
     if (GRUB_FAULT_POINT(faults_, "do.update.drop")) {
-#if GRUB_TELEMETRY
       if (tracer_ != nullptr && trace_span != 0) {
         tracer_->Annotate(trace_span, "update.drop",
                           chain_.CurrentBlockNumber(),
                           "attempt=" + std::to_string(attempt));
       }
-#endif
       continue;  // lost before reaching the mempool
     }
     chain::Transaction tx;
@@ -537,9 +523,7 @@ chain::Receipt DoClient::SubmitUpdate(Bytes calldata,
     tx.function = StorageManagerContract::kUpdateFn;
     tx.cause = cause;
     tx.calldata = calldata;
-#if GRUB_TELEMETRY
     tx.trace_id = trace_span;
-#endif
     receipt = chain_.SubmitAndMine(std::move(tx));
     if (chain::IsDroppedReceipt(receipt)) continue;  // lost in the mempool
     break;
@@ -588,7 +572,6 @@ void DoClient::CheckReadLiveness() {
       tx.calldata = StorageManagerContract::EncodeGGet(
           req.key, req.callback_contract, req.callback_function);
     }
-#if GRUB_TELEMETRY
     if (tracer_ != nullptr) {
       // Tag the transaction with the starved request's span so the chain
       // annotates it at execution, and record the re-emission itself before
@@ -600,7 +583,6 @@ void DoClient::CheckReadLiveness() {
                                "pending_since=" +
                                    std::to_string(req.block_number));
     }
-#endif
     chain::Receipt receipt = chain_.SubmitAndMine(std::move(tx));
     if (chain::IsDroppedReceipt(receipt)) {
       // The re-emission itself was lost; keep the original pending entry so
@@ -609,9 +591,7 @@ void DoClient::CheckReadLiveness() {
     }
     tracker_.Erase(req.log_index);
     watchdog_reemits_ += 1;
-#if GRUB_TELEMETRY
     if (reemits_counter_ != nullptr) reemits_counter_->Increment();
-#endif
   }
 }
 
@@ -631,13 +611,11 @@ void DoClient::Degrade(const std::vector<PendingRequest>& stale) {
         ads::FeedRecord{req.key, std::move(value).value(), ads::ReplState::kR});
   }
   degraded_ = true;
-#if GRUB_TELEMETRY
   if (degraded_gauge_ != nullptr) degraded_gauge_->Set(1);
   if (tracer_ != nullptr) {
     tracer_->GlobalEvent("do.degrade", chain_.CurrentBlockNumber(),
                          "forced=" + std::to_string(forced.size()));
   }
-#endif
   if (forced.empty()) return;
 
   // Roots are unchanged mid-epoch (batches apply at EndEpoch), so the
@@ -664,12 +642,10 @@ void DoClient::Degrade(const std::vector<PendingRequest>& stale) {
 void DoClient::Undegrade() {
   degraded_ = false;
   stale_rounds_ = 0;
-#if GRUB_TELEMETRY
   if (degraded_gauge_ != nullptr) degraded_gauge_->Set(0);
   if (tracer_ != nullptr) {
     tracer_->GlobalEvent("do.undegrade", chain_.CurrentBlockNumber());
   }
-#endif
   // Hand the forced keys back to the policy: mark them touched so the next
   // epoch close evicts any the policy wants off chain.
   for (const auto& key : forced_replicas_) touched_.insert(key);

@@ -92,7 +92,6 @@ void CorruptFirstProof(std::vector<DeliverEntry>& entries) {
 
 }  // namespace
 
-#if GRUB_FAULTS
 void SpDaemon::MutateEntries(std::vector<DeliverEntry>& entries) {
   if (adversary_->Fire(fault::AdversaryClass::kStaleRoot)) {
     // Re-serve the oldest proof this daemon ever built for a batched key. If
@@ -140,7 +139,6 @@ void SpDaemon::MutateEntries(std::vector<DeliverEntry>& entries) {
     CorruptFirstProof(entries);
   }
 }
-#endif
 
 size_t SpDaemon::PollAndServe() {
   telemetry::TimerSpan poll_timer(poll_seconds_);
@@ -152,11 +150,9 @@ size_t SpDaemon::PollAndServe() {
     RecoverCursor();
     consecutive_failures_ += 1;
     last_outcome_ = DeliverOutcome::kCrashed;
-#if GRUB_TELEMETRY
     if (tracer_ != nullptr) {
       tracer_->GlobalEvent("sp.crash", chain_.CurrentBlockNumber());
     }
-#endif
     return 0;
   }
   // A reorg can rewind the event log below our cursor; re-derive rather
@@ -186,9 +182,9 @@ size_t SpDaemon::PollAndServe() {
     EncodeDeliverEntry(w, entry);
     return w.Take().size();
   };
-#if GRUB_TELEMETRY
-  const auto prove_start = std::chrono::steady_clock::now();
-#endif
+  // Like TimerSpan: a null histogram never reads the clock.
+  std::chrono::steady_clock::time_point prove_start;
+  if (prove_seconds_ != nullptr) prove_start = std::chrono::steady_clock::now();
   for (const auto& event : events) {
     if (event.contract != manager_) continue;
     if (event.name == StorageManagerContract::kRequestScanEvent) {
@@ -282,20 +278,17 @@ size_t SpDaemon::PollAndServe() {
     if (dedup_batch_) index_of.emplace(std::move(dedup_key), entries.size());
     entries.push_back(std::move(entry));
   }
-#if GRUB_TELEMETRY
   if (prove_seconds_ != nullptr && !events.empty()) {
     prove_seconds_->Record(
         std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                       prove_start)
             .count());
   }
-#endif
 
   if (entries.empty()) return 0;
   size_t served = 0;
   for (const auto& entry : entries) served += entry.repeats;
 
-#if GRUB_TELEMETRY
   // One span per deliver batch; drops/retries also annotate each request
   // span the batch carries, so a starved gGet shows its own retry chain.
   uint64_t deliver_span = 0;
@@ -313,10 +306,8 @@ size_t SpDaemon::PollAndServe() {
     tracer_->SetAttr(deliver_span, "batch", std::to_string(entries.size()));
     tracer_->SetAttr(deliver_span, "served", std::to_string(served));
   }
-#endif
 
   Bytes calldata;
-#if GRUB_FAULTS
   if (adversary_ != nullptr) {
     // Stock pre-mutation ammunition: the first proof ever served per key —
     // it goes genuinely stale once the root moves on.
@@ -330,14 +321,12 @@ size_t SpDaemon::PollAndServe() {
       // the daemon PRETENDS it served. The requests starve until the DO's
       // liveness watchdog or the quorum's stall detector notices.
       last_outcome_ = DeliverOutcome::kOmitted;
-#if GRUB_TELEMETRY
       if (tracer_ != nullptr) {
         tracer_->Annotate(deliver_span, "adv.omit",
                           chain_.CurrentBlockNumber());
         tracer_->EndSpan(deliver_span, chain_.CurrentBlockNumber(),
                          /*completed=*/false);
       }
-#endif
       return 0;
     }
     if (!last_good_calldata_.empty() &&
@@ -352,14 +341,11 @@ size_t SpDaemon::PollAndServe() {
   }
   if (GRUB_FAULT_POINT(faults_, "sp.proof.corrupt")) {
     CorruptFirstProof(entries);
-#if GRUB_TELEMETRY
     if (tracer_ != nullptr) {
       tracer_->Annotate(deliver_span, "proof.corrupt",
                         chain_.CurrentBlockNumber());
     }
-#endif
   }
-#endif
   if (calldata.empty()) {
     calldata = StorageManagerContract::EncodeDeliver(entries);
   }
@@ -375,7 +361,6 @@ size_t SpDaemon::PollAndServe() {
     consecutive_failures_ += 1;
     deliver_rejections_ += 1;
     last_outcome_ = DeliverOutcome::kRejected;
-#if GRUB_TELEMETRY
     if (rejections_counter_ != nullptr) rejections_counter_->Increment();
     if (tracer_ != nullptr) {
       tracer_->Annotate(deliver_span, "deliver.quarantined",
@@ -383,7 +368,6 @@ size_t SpDaemon::PollAndServe() {
       tracer_->EndSpan(deliver_span, chain_.CurrentBlockNumber(),
                        /*completed=*/false);
     }
-#endif
     return 0;
   }
 
@@ -395,7 +379,6 @@ size_t SpDaemon::PollAndServe() {
   for (uint64_t attempt = 1; attempt <= kMaxDeliverAttempts; ++attempt) {
     if (attempt > 1) {
       deliver_retries_ += 1;
-#if GRUB_TELEMETRY
       if (retries_counter_ != nullptr) retries_counter_->Increment();
       if (tracer_ != nullptr) {
         tracer_->Annotate(deliver_span, "deliver.retry",
@@ -403,18 +386,15 @@ size_t SpDaemon::PollAndServe() {
                           "attempt=" + std::to_string(attempt));
         annotate_entries("deliver.retry", chain_.CurrentBlockNumber());
       }
-#endif
       chain_.AdvanceTime(kRetryBackoffSec << (attempt - 2));
     }
     if (GRUB_FAULT_POINT(faults_, "sp.deliver.drop")) {
-#if GRUB_TELEMETRY
       if (tracer_ != nullptr) {
         tracer_->Annotate(deliver_span, "deliver.drop",
                           chain_.CurrentBlockNumber(),
                           "attempt=" + std::to_string(attempt));
         annotate_entries("deliver.drop", chain_.CurrentBlockNumber());
       }
-#endif
       continue;  // lost before reaching the mempool
     }
     chain::Transaction tx;
@@ -423,9 +403,7 @@ size_t SpDaemon::PollAndServe() {
     tx.function = StorageManagerContract::kDeliverFn;
     tx.cause = telemetry::GasCause::kDeliver;
     tx.calldata = calldata;
-#if GRUB_TELEMETRY
     tx.trace_id = deliver_span;
-#endif
     {
       telemetry::TimerSpan deliver_timer(deliver_seconds_);
       receipt = chain_.SubmitAndMine(std::move(tx));
@@ -441,14 +419,12 @@ size_t SpDaemon::PollAndServe() {
     cursor_ = batch_start;
     consecutive_failures_ += 1;
     last_outcome_ = DeliverOutcome::kLost;
-#if GRUB_TELEMETRY
     if (tracer_ != nullptr) {
       tracer_->Annotate(deliver_span, "deliver.lost",
                         chain_.CurrentBlockNumber());
       tracer_->EndSpan(deliver_span, chain_.CurrentBlockNumber(),
                        /*completed=*/false);
     }
-#endif
     return 0;
   }
   if (!receipt.ok() && !chain::IsDelayedReceipt(receipt)) {
@@ -461,7 +437,6 @@ size_t SpDaemon::PollAndServe() {
     deliver_rejections_ += 1;
     last_outcome_ = DeliverOutcome::kRejected;
     last_rejected_digest_ = Sha256::Digest(calldata);
-#if GRUB_TELEMETRY
     if (rejections_counter_ != nullptr) rejections_counter_->Increment();
     if (tracer_ != nullptr) {
       tracer_->Annotate(deliver_span, "deliver.rejected",
@@ -470,7 +445,6 @@ size_t SpDaemon::PollAndServe() {
       tracer_->EndSpan(deliver_span, chain_.CurrentBlockNumber(),
                        /*completed=*/false);
     }
-#endif
     return 0;
   }
   // A delayed deliver sits in the mempool and executes in an upcoming block;
@@ -479,10 +453,7 @@ size_t SpDaemon::PollAndServe() {
   delivers_sent_ += 1;
   last_outcome_ = DeliverOutcome::kServed;
   last_rejected_digest_.reset();
-#if GRUB_FAULTS
   if (adversary_ != nullptr) last_good_calldata_ = calldata;
-#endif
-#if GRUB_TELEMETRY
   if (requests_served_ != nullptr) requests_served_->Increment(served);
   if (delivers_counter_ != nullptr) delivers_counter_->Increment();
   if (workload_ != nullptr) {
@@ -513,7 +484,6 @@ size_t SpDaemon::PollAndServe() {
     }
     tracer_->EndSpan(deliver_span, now_block, /*completed=*/true);
   }
-#endif
   return served;
 }
 

@@ -111,9 +111,8 @@ class SpDaemon {
     workload_ = monitor;
   }
 
-  /// Arms this replica with a Byzantine behaviour model (null = honest).
-  /// Mutations only happen in GRUB_FAULTS builds; elsewhere the attached
-  /// adversary is inert and the pipeline is bit-identical to honest.
+  /// Arms this replica with a Byzantine behaviour model (null = honest; a
+  /// null adversary changes no Gas).
   void SetAdversary(fault::SpAdversary* adversary) { adversary_ = adversary; }
   fault::SpAdversary* Adversary() { return adversary_; }
 
@@ -138,11 +137,9 @@ class SpDaemon {
   /// reorg below the fold cursor clears the map and refolds from scratch).
   void FoldLogEvents();
 
-#if GRUB_FAULTS
   /// Applies the armed adversary's proof mutations (forge / truncate /
   /// stale-root / equivocate) to the outgoing batch.
   void MutateEntries(std::vector<DeliverEntry>& entries);
-#endif
 
   static constexpr uint64_t kMaxDeliverAttempts = 3;
   static constexpr chain::TimeSec kRetryBackoffSec = 2;

@@ -85,7 +85,6 @@ void SpQuorum::Blacklist(const char* reason) {
   rep.trust = SpTrust::kBlacklisted;
   rep.blacklisted_count += 1;
   blacklists_ += 1;
-#if GRUB_TELEMETRY
   if (blacklists_counter_ != nullptr) blacklists_counter_->Increment();
   if (detection_blocks_ != nullptr && rep.first_rejection_block != 0) {
     detection_blocks_->Record(static_cast<double>(
@@ -96,9 +95,6 @@ void SpQuorum::Blacklist(const char* reason) {
                          "sp=" + std::to_string(active_) +
                              " reason=" + reason);
   }
-#else
-  (void)reason;
-#endif
 }
 
 bool SpQuorum::Failover() {
@@ -133,7 +129,6 @@ bool SpQuorum::Failover() {
   replicas_[active_].trust = SpTrust::kActive;
   replicas_[active_].daemon->Reactivate();
   failovers_ += 1;
-#if GRUB_TELEMETRY
   if (failovers_counter_ != nullptr) failovers_counter_->Increment();
   if (active_gauge_ != nullptr) {
     active_gauge_->Set(static_cast<int64_t>(active_));
@@ -142,7 +137,6 @@ bool SpQuorum::Failover() {
     tracer_->GlobalEvent("quorum.failover", chain_.CurrentBlockNumber(),
                          "sp=" + std::to_string(active_));
   }
-#endif
   return true;
 }
 

@@ -58,8 +58,6 @@ struct QuorumOptions {
   uint64_t liveness_timeout_polls = 3;
   /// Per-replica Byzantine behaviour (fault::ParseMulti grammar, e.g.
   /// "forge@2" or "0:omit*;1:replay@1"). Empty = every replica honest.
-  /// Parsed for validity in all builds; mutations only happen under
-  /// GRUB_FAULTS.
   std::string adversary_spec;
   /// Seed for probabilistic adversary triggers.
   uint64_t adversary_seed = 42;

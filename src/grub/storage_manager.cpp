@@ -169,7 +169,7 @@ void StorageManagerContract::ChargeTraceCounter(chain::CallContext& ctx,
                                                 ByteSpan key) {
   // BL3: maintain a per-key operation counter in contract storage. One read
   // (the current count) and one write (the increment).
-  telemetry::Span span(telemetry::GasCause::kBl3Trace);
+  telemetry::GasSpan span(telemetry::GasCause::kBl3Trace);
   const Word slot = CounterSlot(key);
   Word count = ctx.Storage().SLoad(slot);
   ctx.Storage().SStore(slot, Word::FromU64(count.ToU64() + 1));
@@ -181,7 +181,7 @@ Status StorageManagerContract::HandleUpdate(chain::CallContext& ctx,
     return Status::FailedPrecondition("update: caller is not an authorized DO");
   }
   if (config_.shard_map.Count() > 1) return HandleUpdateSharded(ctx, args);
-  telemetry::Span update_span(telemetry::GasCause::kUpdateRoot);
+  telemetry::GasSpan update_span(telemetry::GasCause::kUpdateRoot);
   AbiReader r(args);
   const Hash256 digest = r.Hash();
   const uint64_t epoch = r.U64();
@@ -219,7 +219,7 @@ Status StorageManagerContract::HandleUpdateSharded(chain::CallContext& ctx,
     // digest checks out. O(shard count) sloads + hashes, independent of the
     // keyspace size. (An unset shard-root slot reads as the zero word, which
     // IS the empty tree's root — genesis verifies without special cases.)
-    telemetry::Span rollup_span(telemetry::GasCause::kRootRollup);
+    telemetry::GasSpan rollup_span(telemetry::GasCause::kRootRollup);
     std::vector<Hash256> roots(shard_count);
     for (size_t shard = 0; shard < shard_count; ++shard) {
       roots[shard] =
@@ -235,7 +235,7 @@ Status StorageManagerContract::HandleUpdateSharded(chain::CallContext& ctx,
     }
   }
 
-  telemetry::Span update_span(telemetry::GasCause::kUpdateRoot);
+  telemetry::GasSpan update_span(telemetry::GasCause::kUpdateRoot);
   ctx.Storage().SStore(RootSlot(), digest);
   for (const auto& [shard, root] : provided) {
     ctx.Storage().SStore(ShardRootSlot(static_cast<uint32_t>(shard)), root);
@@ -254,7 +254,7 @@ Status StorageManagerContract::ApplyReplicationSuffix(chain::CallContext& ctx,
     if (!record.ok()) return record.status();
     if (config_.trace_writes_on_chain) ChargeTraceCounter(ctx, record->key);
 
-    telemetry::Span span(telemetry::GasCause::kReplicaInsert);
+    telemetry::GasSpan span(telemetry::GasCause::kReplicaInsert);
     // Solidity mapping access hashes the key to derive the slot.
     ctx.Meter().ChargeHash(WordsForBytes(record->key.size() + 32));
     const Word len_slot = LenSlot(record->key);
@@ -274,7 +274,7 @@ Status StorageManagerContract::ApplyReplicationSuffix(chain::CallContext& ctx,
   const uint64_t n_evictions = r.U64();
   for (uint64_t i = 0; i < n_evictions; ++i) {
     Bytes key = r.Blob();
-    telemetry::Span span(telemetry::GasCause::kReplicaEvict);
+    telemetry::GasSpan span(telemetry::GasCause::kReplicaEvict);
     ctx.Meter().ChargeHash(WordsForBytes(key.size() + 32));
     const Word len_slot = LenSlot(key);
     const uint64_t len_tag = ctx.Storage().SLoad(len_slot).ToU64();
@@ -300,7 +300,7 @@ Status StorageManagerContract::ApplyTierSuffix(chain::CallContext& ctx,
       // Pin the content digest (Solidity mapping access + metered hash of
       // the value), then emit the value as LOG data — the receipt is the
       // read-path storage, at 8 gas/byte instead of sstore prices.
-      telemetry::Span span(telemetry::GasCause::kLogPin);
+      telemetry::GasSpan span(telemetry::GasCause::kLogPin);
       ctx.Meter().ChargeHash(WordsForBytes(record->key.size() + 32));
       ctx.Meter().ChargeHash(WordsForBytes(record->value.size()));
       ctx.Storage().SStore(DigestSlot(record->key),
@@ -319,7 +319,7 @@ Status StorageManagerContract::ApplyTierSuffix(chain::CallContext& ctx,
   const uint64_t n_unpins = r.U64();
   for (uint64_t i = 0; i < n_unpins; ++i) {
     Bytes key = r.Blob();
-    telemetry::Span span(telemetry::GasCause::kLogPin);
+    telemetry::GasSpan span(telemetry::GasCause::kLogPin);
     ctx.Meter().ChargeHash(WordsForBytes(key.size() + 32));
     const Word slot = DigestSlot(key);
     if (ctx.Storage().SLoad(slot) == Word{}) continue;  // no pin to drop
@@ -333,7 +333,7 @@ Status StorageManagerContract::ApplyTierSuffix(chain::CallContext& ctx,
 
 Status StorageManagerContract::HandleGGet(chain::CallContext& ctx,
                                           ByteSpan args) {
-  telemetry::Span span(telemetry::GasCause::kGGetSync);
+  telemetry::GasSpan span(telemetry::GasCause::kGGetSync);
   AbiReader r(args);
   Bytes key = r.Blob();
   const chain::Address callback_contract = r.U64();
@@ -343,9 +343,7 @@ Status StorageManagerContract::HandleGGet(chain::CallContext& ctx,
 
   ctx.Meter().ChargeHash(WordsForBytes(key.size() + 32));
   const uint64_t len_tag = ctx.Storage().SLoad(LenSlot(key)).ToU64();
-#if GRUB_TELEMETRY
   if (workload_ != nullptr) workload_->OnChainRead(len_tag != 0);
-#endif
   if (len_tag != 0) {
     // Replica hit: serve from contract storage.
     Bytes value = ctx.Storage().SLoadBytes(ValueBase(key), len_tag - 1);
@@ -370,7 +368,7 @@ Status StorageManagerContract::HandleGScan(chain::CallContext& ctx,
   // Range reads are always served off-chain with a completeness proof
   // (B.2.2 r2): an EVM mapping cannot enumerate its keys, so even records
   // with on-chain replicas ride the proven range response.
-  telemetry::Span span(telemetry::GasCause::kGGetSync);
+  telemetry::GasSpan span(telemetry::GasCause::kGGetSync);
   AbiReader r(args);
   Bytes start = r.Blob();
   Bytes end = r.Blob();
@@ -389,7 +387,7 @@ Status StorageManagerContract::HandleGScan(chain::CallContext& ctx,
 
 Status StorageManagerContract::HandleDeliver(chain::CallContext& ctx,
                                              ByteSpan args) {
-  telemetry::Span deliver_span(telemetry::GasCause::kDeliver);
+  telemetry::GasSpan deliver_span(telemetry::GasCause::kDeliver);
   AbiReader r(args);
   // Single-shard: the legacy behavior, one eager root sload. Sharded: proofs
   // verify against the entry's shard root, each sloaded at most once per
@@ -421,9 +419,9 @@ Status StorageManagerContract::HandleDeliver(chain::CallContext& ctx,
   };
   const auto settle_hashes = [&](ads::ProofReject verdict,
                                  telemetry::GasCause ok_cause) {
-    telemetry::Span span(verdict == ads::ProofReject::kNone
-                             ? ok_cause
-                             : telemetry::GasCause::kProofReject);
+    telemetry::GasSpan span(verdict == ads::ProofReject::kNone
+                                ? ok_cause
+                                : telemetry::GasCause::kProofReject);
     for (size_t bytes : pending_hashes) {
       ctx.Meter().ChargeHash(WordsForBytes(bytes));
     }
@@ -492,7 +490,7 @@ Status StorageManagerContract::HandleDeliver(chain::CallContext& ctx,
       // hash, one sload, one value hash.
       Word pinned;
       {
-        telemetry::Span span(telemetry::GasCause::kLogDeliver);
+        telemetry::GasSpan span(telemetry::GasCause::kLogDeliver);
         ctx.Meter().ChargeHash(WordsForBytes(entry->key.size() + 32));
         pinned = ctx.Storage().SLoad(DigestSlot(entry->key));
       }
@@ -528,7 +526,7 @@ Status StorageManagerContract::HandleDeliver(chain::CallContext& ctx,
       // Lazy replication: materialize the replica iff the SP's replicate
       // instruction says R (Listing 2; Gas-only trust).
       if (entry->replicate_hint) {
-        telemetry::Span span(telemetry::GasCause::kReplicaInsert);
+        telemetry::GasSpan span(telemetry::GasCause::kReplicaInsert);
         ctx.Meter().ChargeHash(WordsForBytes(proof.record.key.size() + 32));
         const Word len_slot = LenSlot(proof.record.key);
         const uint64_t old_tag = ctx.Storage().SLoad(len_slot).ToU64();

@@ -112,7 +112,6 @@ size_t GrubSystem::AddFeed(const FeedOptions& options,
     feed->quorum_->SetTracer(tracer);
     feed->do_client_->SetTracer(tracer);
   }
-#if GRUB_TELEMETRY
   if (options.enable_workload_monitor) {
     telemetry::WorkloadMonitor::Options monitor_options;
     const shard::ShardMap shard_map = feed->sp_.Map();
@@ -128,7 +127,6 @@ size_t GrubSystem::AddFeed(const FeedOptions& options,
     feed->quorum_->SetWorkloadMonitor(feed->workload_.get());
     feed->manager_->SetWorkloadMonitor(feed->workload_.get());
   }
-#endif
   if (faults_ != nullptr) {
     feed->sp_.SetFaultInjector(faults_.get());
     feed->quorum_->SetFaultInjector(faults_.get());

@@ -93,8 +93,7 @@ struct FeedOptions {
   size_t sp_replicas = 1;
   /// Per-replica Byzantine behaviour spec (fault::ParseMulti grammar, e.g.
   /// "forge@2" or "0:omit*;1:replay@1"). Empty = all replicas honest. The
-  /// constructor throws std::invalid_argument on a malformed spec; attacks
-  /// only mutate delivers in GRUB_FAULTS builds.
+  /// constructor throws std::invalid_argument on a malformed spec.
   std::string adversary_spec;
   /// Seed for probabilistic adversary triggers.
   uint64_t adversary_seed = 42;
@@ -104,8 +103,8 @@ struct FeedOptions {
   /// Attach the workload observatory: a per-feed WorkloadMonitor streaming
   /// per-shard heat, hot-key sets, online K estimates, flip regret and
   /// gas-per-op drift as the system runs (grubctl --workload / --watch).
-  /// Observation-only; never changes Gas results (asserted in tests and by
-  /// the ci.sh diff stage). In GRUB_TELEMETRY=0 builds the flag is inert.
+  /// Observation-only; never changes Gas results (the `identity` ctest
+  /// pins it).
   bool enable_workload_monitor = false;
   /// Heavy-hitter sketch capacity for the monitor.
   size_t workload_sketch_capacity = 64;
@@ -126,10 +125,10 @@ struct SystemOptions : FeedOptions {
   /// Gas results (asserted in tests).
   bool enable_tracing = false;
   /// Fault schedule (fault::FaultInjector::Parse grammar, e.g.
-  /// "sp.deliver.drop@3,chain.reorg~0.05"). Empty = no injector: the fault
-  /// points stay dormant and Gas results are bit-identical to a
-  /// GRUB_FAULTS=OFF build. The constructor throws std::invalid_argument on
-  /// a malformed schedule.
+  /// "sp.deliver.drop@3,chain.reorg~0.05"). Empty = no injector, the off
+  /// switch: every fault point is one null test and Gas results are
+  /// bit-identical to a dormant schedule's (the `identity` ctest pins it).
+  /// The constructor throws std::invalid_argument on a malformed schedule.
   std::string fault_schedule;
   /// Seed for the injector's probabilistic rules — same seed + schedule
   /// reproduces the identical failure (and recovery) sequence.
@@ -162,7 +161,7 @@ class Feed {
   chain::Address ManagerAddress() const { return manager_address_; }
   chain::Address ConsumerAddress() const { return consumer_address_; }
   /// The feed's workload monitor, or null when `enable_workload_monitor` is
-  /// off (always null in GRUB_TELEMETRY=0 builds).
+  /// off.
   telemetry::WorkloadMonitor* Workload() { return workload_.get(); }
   const telemetry::WorkloadMonitor* Workload() const { return workload_.get(); }
 
@@ -265,7 +264,7 @@ class GrubSystem {
   }
 
   /// Feed 0's workload monitor, or null when `enable_workload_monitor` is
-  /// off (always null in GRUB_TELEMETRY=0 builds).
+  /// off.
   telemetry::WorkloadMonitor* Workload() { return feeds_[0]->Workload(); }
   const telemetry::WorkloadMonitor* Workload() const {
     return feeds_[0]->Workload();

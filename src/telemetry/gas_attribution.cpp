@@ -2,8 +2,6 @@
 
 namespace grub::telemetry {
 
-thread_local GasCause GasSpan::current_ = GasCause::kUnattributed;
-
 const char* Name(GasComponent component) {
   switch (component) {
     case GasComponent::kTxBase: return "tx-base";

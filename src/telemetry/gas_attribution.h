@@ -78,7 +78,9 @@ class GasSpan {
 
  private:
   GasCause previous_;
-  static thread_local GasCause current_;
+  // Keep the definition inline: out of line, every access goes through a
+  // TLS wrapper that UBSan reports as a null store/load.
+  static inline thread_local GasCause current_ = GasCause::kUnattributed;
 };
 
 /// Plain (non-atomic) copy of the attribution matrix, for export and diffing.

@@ -58,22 +58,16 @@ T& MetricsRegistry::GetOrCreate(std::map<std::string, std::unique_ptr<T>>& table
 
 Counter& MetricsRegistry::GetCounter(const std::string& name,
                                      const Labels& labels) {
-  if (!enabled_) return noop_counter_;
   return GetOrCreate(counters_, name, labels, labels_of_);
 }
 
 Gauge& MetricsRegistry::GetGauge(const std::string& name, const Labels& labels) {
-  if (!enabled_) return noop_gauge_;
   return GetOrCreate(gauges_, name, labels, labels_of_);
 }
 
 Histogram& MetricsRegistry::GetHistogram(const std::string& name,
                                          const Labels& labels,
                                          std::vector<double> upper_bounds) {
-  if (!enabled_) {
-    static Histogram noop({1.0});
-    return noop;
-  }
   // Same normalization the Histogram constructor applies, so an existing
   // instrument can be compared against what this registration would build.
   std::vector<double> normalized = upper_bounds;
@@ -97,7 +91,6 @@ Histogram& MetricsRegistry::GetHistogram(const std::string& name,
 
 std::vector<InstrumentSnapshot> MetricsRegistry::Snapshot() const {
   std::vector<InstrumentSnapshot> out;
-  if (!enabled_) return out;
   std::lock_guard<std::mutex> lock(mu_);
 
   auto name_of = [](const std::string& key) {

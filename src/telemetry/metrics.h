@@ -9,11 +9,8 @@
 // Instruments are identified by (name, label set); labels are order-
 // insensitive — GetCounter("x", {{"a","1"},{"b","2"}}) and the swapped order
 // return the SAME instrument. Registration takes a mutex; the hot increment
-// path is a single relaxed atomic op.
-//
-// A registry constructed disabled hands out shared no-op instruments and
-// snapshots to nothing — the runtime half of the zero-overhead story (the
-// compile-time half is the GRUB_TELEMETRY macro, see telemetry.h).
+// path is a single relaxed atomic op. The off switch is a null
+// MetricsRegistry* or instrument pointer (see telemetry.h).
 #pragma once
 
 #include <atomic>
@@ -106,12 +103,10 @@ struct InstrumentSnapshot {
 
 class MetricsRegistry {
  public:
-  explicit MetricsRegistry(bool enabled = true) : enabled_(enabled) {}
+  MetricsRegistry() = default;
 
   MetricsRegistry(const MetricsRegistry&) = delete;
   MetricsRegistry& operator=(const MetricsRegistry&) = delete;
-
-  bool enabled() const { return enabled_; }
 
   /// Instruments live as long as the registry; returned references are
   /// stable. Same (name, labels) — labels in any order — same instrument.
@@ -122,8 +117,7 @@ class MetricsRegistry {
   Histogram& GetHistogram(const std::string& name, const Labels& labels,
                           std::vector<double> upper_bounds);
 
-  /// Stable-ordered (by identity key) copy of every instrument. Disabled
-  /// registries snapshot to an empty vector.
+  /// Stable-ordered (by identity key) copy of every instrument.
   std::vector<InstrumentSnapshot> Snapshot() const;
 
   /// Canonical identity key: name + sorted labels (exposed for tests).
@@ -135,17 +129,11 @@ class MetricsRegistry {
                  const std::string& name, const Labels& labels,
                  std::map<std::string, Labels>& label_index, Args&&... args);
 
-  bool enabled_;
   mutable std::mutex mu_;
   std::map<std::string, std::unique_ptr<Counter>> counters_;
   std::map<std::string, std::unique_ptr<Gauge>> gauges_;
   std::map<std::string, std::unique_ptr<Histogram>> histograms_;
   std::map<std::string, Labels> labels_of_;  // identity key -> original labels
-
-  // Shared sinks handed out when disabled (writes race harmlessly into
-  // instruments nobody ever reads).
-  Counter noop_counter_;
-  Gauge noop_gauge_;
 };
 
 /// Default latency buckets (seconds): 1us .. ~10s, roughly 4x steps.

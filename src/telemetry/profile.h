@@ -11,8 +11,7 @@
 //
 // Contract, same as TimerSpan: wall-clock only ever flows into reports,
 // never into simulation state. Probes are off by default; a disabled probe
-// costs one relaxed atomic load and never reads the clock. With
-// GRUB_TELEMETRY=0 the macro expands to nothing and the sites vanish.
+// costs one relaxed atomic load and never reads the clock.
 //
 // Timing is SAMPLED: every hit bumps the site's count (one relaxed
 // fetch_add), but only one hit in kSampleEvery reads the clock — sites like
@@ -26,10 +25,6 @@
 // Header-only on purpose: the probed libraries (grub_crypto, grub_kvstore)
 // gain no link dependency on grub_telemetry.
 #pragma once
-
-#include "telemetry/config.h"
-
-#if GRUB_TELEMETRY
 
 #include <atomic>
 #include <chrono>
@@ -163,9 +158,3 @@ class ScopedProbe {
 }  // namespace grub::telemetry
 
 #define GRUB_PROBE(site) ::grub::telemetry::ScopedProbe grub_probe_scope_(site)
-
-#else  // GRUB_TELEMETRY == 0: sites compile away entirely.
-
-#define GRUB_PROBE(site)
-
-#endif

@@ -7,19 +7,15 @@
 //   * an EpochSeries    — per-epoch attribution snapshots for CSV/JSONL
 //     export.
 //
-// Overhead contract (the reason this can underpin perf PRs):
-//   * compile-time: GRUB_TELEMETRY=0 removes every instrumentation site
-//     (see config.h) — the build is bit-identical to the uninstrumented one;
-//   * runtime: a component holding a null Telemetry*/Registry* pointer skips
-//     recording behind one predictable branch, and a MetricsRegistry
-//     constructed disabled hands out shared no-op instruments.
-// Telemetry never feeds back into simulation state: Gas totals are identical
-// with it on, off, or absent.
+// Off switch: a null pointer. A component holding a null Telemetry*,
+// Registry*, Histogram* or Tracer* skips recording behind one predictable
+// branch and reads no clock. Telemetry never feeds back into simulation
+// state: a null observer changes no Gas, and the `identity` ctest
+// (tests/grub/gas_invisibility_test.cpp) enforces it.
 #pragma once
 
 #include <memory>
 
-#include "telemetry/config.h"
 #include "telemetry/epoch_series.h"
 #include "telemetry/gas_attribution.h"
 #include "telemetry/metrics.h"
@@ -27,36 +23,8 @@
 
 namespace grub::telemetry {
 
-#if GRUB_TELEMETRY
-/// The RAII cause scope product code opens (alias so disabled builds compile
-/// the same call sites into nothing).
-using Span = GasSpan;
-#else
-struct Span {
-  explicit Span(GasCause) {}
-};
-#endif
-
 class Telemetry {
  public:
-  explicit Telemetry(bool enabled = true) : registry_(enabled) {
-    // Resolve the robustness instruments once: GatherRobustness runs on every
-    // epoch close, and a full-registry Snapshot() scan there is O(all
-    // instruments) per epoch. Handles stay valid for the registry's lifetime.
-    // A disabled registry hands out shared no-op instruments that unrelated
-    // increments also land on, so leave the handles null there — the old
-    // empty-Snapshot behavior returned all-zero totals, and so do we.
-    if (registry_.enabled()) {
-      fault_fires_ = &registry_.GetCounter("fault.fires_total");
-      deliver_retries_ = &registry_.GetCounter("sp.deliver_retries");
-      update_retries_ = &registry_.GetCounter("do.update_retries");
-      watchdog_reemits_ = &registry_.GetCounter("do.watchdog_reemits");
-      degraded_ = &registry_.GetGauge("do.degraded");
-      deliver_rejections_ = &registry_.GetCounter("sp.deliver_rejections");
-      sp_failovers_ = &registry_.GetCounter("quorum.failovers");
-    }
-  }
-
   MetricsRegistry& Registry() { return registry_; }
   GasAttribution& Gas() { return gas_; }
   const GasAttribution& Gas() const { return gas_; }
@@ -77,16 +45,15 @@ class Telemetry {
   }
 
   /// Cumulative robustness counters, read from the handles cached at
-  /// construction (all zero in fault-free runs and with a disabled registry).
+  /// construction (all zero in fault-free runs).
   RobustnessTotals GatherRobustness() const {
     RobustnessTotals totals;
-    if (fault_fires_ == nullptr) return totals;
-    totals.fault_fires = fault_fires_->Value();
-    totals.retries = deliver_retries_->Value() + update_retries_->Value();
-    totals.watchdog_reemits = watchdog_reemits_->Value();
-    totals.degraded = degraded_->Value();
-    totals.deliver_rejections = deliver_rejections_->Value();
-    totals.sp_failovers = sp_failovers_->Value();
+    totals.fault_fires = fault_fires_.Value();
+    totals.retries = deliver_retries_.Value() + update_retries_.Value();
+    totals.watchdog_reemits = watchdog_reemits_.Value();
+    totals.degraded = degraded_.Value();
+    totals.deliver_rejections = deliver_rejections_.Value();
+    totals.sp_failovers = sp_failovers_.Value();
     return totals;
   }
 
@@ -113,14 +80,16 @@ class Telemetry {
   EpochSeries epochs_;
   std::unique_ptr<Tracer> tracer_;
 
-  // Cached robustness handles (null when the registry is disabled).
-  Counter* fault_fires_ = nullptr;
-  Counter* deliver_retries_ = nullptr;
-  Counter* update_retries_ = nullptr;
-  Counter* watchdog_reemits_ = nullptr;
-  Gauge* degraded_ = nullptr;
-  Counter* deliver_rejections_ = nullptr;
-  Counter* sp_failovers_ = nullptr;
+  // Robustness instruments, resolved once: GatherRobustness runs on every
+  // epoch close, and a full-registry Snapshot() scan there is O(all
+  // instruments) per epoch. Handles stay valid for the registry's lifetime.
+  Counter& fault_fires_ = registry_.GetCounter("fault.fires_total");
+  Counter& deliver_retries_ = registry_.GetCounter("sp.deliver_retries");
+  Counter& update_retries_ = registry_.GetCounter("do.update_retries");
+  Counter& watchdog_reemits_ = registry_.GetCounter("do.watchdog_reemits");
+  Gauge& degraded_ = registry_.GetGauge("do.degraded");
+  Counter& deliver_rejections_ = registry_.GetCounter("sp.deliver_rejections");
+  Counter& sp_failovers_ = registry_.GetCounter("quorum.failovers");
 };
 
 }  // namespace grub::telemetry

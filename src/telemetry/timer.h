@@ -7,18 +7,15 @@
 //                                                    // records on scope exit
 //
 // Wall-clock never influences simulation results (the repo's determinism
-// rule); these spans are pure observability. With GRUB_TELEMETRY=0 the span
-// is an empty object and the clock is never read.
+// rule); these spans are pure observability. With a null histogram the clock
+// is never read.
 #pragma once
 
 #include <chrono>
 
-#include "telemetry/config.h"
 #include "telemetry/metrics.h"
 
 namespace grub::telemetry {
-
-#if GRUB_TELEMETRY
 
 class TimerSpan {
  public:
@@ -38,14 +35,5 @@ class TimerSpan {
   Histogram* histogram_;
   std::chrono::steady_clock::time_point start_;
 };
-
-#else  // GRUB_TELEMETRY == 0: spans compile away entirely.
-
-class TimerSpan {
- public:
-  explicit TimerSpan(Histogram*) {}
-};
-
-#endif
 
 }  // namespace grub::telemetry

@@ -23,9 +23,9 @@
 // replays.
 //
 // Like EpochSeries, the Tracer is single-threaded by design: the simulator
-// drives one operation stream. All call sites sit behind GRUB_TELEMETRY and
-// a null-pointer check, and tracing never feeds back into simulation state —
-// Gas totals are bit-identical with tracing on, off, or compiled out.
+// drives one operation stream. A null Tracer* is the off switch at every call
+// site, and tracing never feeds back into simulation state — a null tracer
+// changes no Gas, and the `identity` ctest enforces it.
 #pragma once
 
 #include <cstdint>
@@ -37,7 +37,6 @@
 #include <vector>
 
 #include "common/bytes.h"
-#include "telemetry/config.h"
 
 namespace grub::telemetry {
 

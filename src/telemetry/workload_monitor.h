@@ -16,8 +16,8 @@
 // Contract (same as tracing, PR 3): the monitor is Gas-invisible. It only
 // observes — every hook is called after the simulation decision it watches,
 // it holds no references into mutable simulation state, and chain Gas is
-// byte-identical with the monitor on, off, or compiled out (ci.sh diffs all
-// three). Determinism: all exported numbers derive from block heights and
+// byte-identical with the monitor on or null (the `identity` ctest pins
+// it). Determinism: all exported numbers derive from block heights and
 // operation streams, never the wall clock, so same-seed runs produce
 // byte-identical --watch snapshots and --json sections.
 //

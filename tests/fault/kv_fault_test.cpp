@@ -42,14 +42,7 @@ class KvFaultTest : public ::testing::Test {
   std::string dir_;
 };
 
-#if GRUB_FAULTS
-#define SKIP_WITHOUT_FAULTS()
-#else
-#define SKIP_WITHOUT_FAULTS() GTEST_SKIP() << "built with GRUB_FAULTS=0"
-#endif
-
 TEST_F(KvFaultTest, WalAppendFailRejectsTheWriteAtomically) {
-  SKIP_WITHOUT_FAULTS();
   auto faults = FaultInjector::Parse("kv.wal.append_fail@2", 1).value();
   auto db = OpenStore();
   db->SetFaultInjector(faults.get());
@@ -69,7 +62,6 @@ TEST_F(KvFaultTest, WalAppendFailRejectsTheWriteAtomically) {
 }
 
 TEST_F(KvFaultTest, TornWalAppendKeepsOnlyTheIntactPrefixOnRecovery) {
-  SKIP_WITHOUT_FAULTS();
   auto faults = FaultInjector::Parse("kv.wal.torn@3", 1).value();
   auto db = OpenStore();
   db->SetFaultInjector(faults.get());
@@ -89,7 +81,6 @@ TEST_F(KvFaultTest, TornWalAppendKeepsOnlyTheIntactPrefixOnRecovery) {
 }
 
 TEST_F(KvFaultTest, FailedFsyncSurfacesWithoutApplyingTheWrite) {
-  SKIP_WITHOUT_FAULTS();
   auto faults = FaultInjector::Parse("kv.wal.sync_fail@1", 1).value();
   Options options;
   options.sync_writes = true;
@@ -106,7 +97,6 @@ TEST_F(KvFaultTest, FailedFsyncSurfacesWithoutApplyingTheWrite) {
 }
 
 TEST_F(KvFaultTest, PartialSstableFlushRecoversEverythingFromTheWal) {
-  SKIP_WITHOUT_FAULTS();
   auto faults = FaultInjector::Parse("kv.sstable.partial_flush@1", 1).value();
   auto db = OpenStore();
   db->SetFaultInjector(faults.get());

@@ -20,12 +20,6 @@ using workload::MakeKey;
 using workload::Operation;
 using workload::Trace;
 
-#if GRUB_FAULTS
-#define SKIP_WITHOUT_FAULTS()
-#else
-#define SKIP_WITHOUT_FAULTS() GTEST_SKIP() << "built with GRUB_FAULTS=0"
-#endif
-
 SystemOptions WithSchedule(const std::string& schedule, uint64_t seed = 42) {
   SystemOptions options;
   options.fault_schedule = schedule;
@@ -70,7 +64,6 @@ TEST(SystemFault, DormantScheduleIsGasIdenticalToNoSchedule) {
 }
 
 TEST(SystemFault, DroppedDeliverIsRetriedAndServed) {
-  SKIP_WITHOUT_FAULTS();
   GrubSystem system(WithSchedule("sp.deliver.drop@1"), MakeBL1());
   system.Preload(SmallFeed());
   system.ReadNow(MakeKey(0));
@@ -81,7 +74,6 @@ TEST(SystemFault, DroppedDeliverIsRetriedAndServed) {
 }
 
 TEST(SystemFault, ExhaustedDeliverRetriesAreServedByTheNextPoll) {
-  SKIP_WITHOUT_FAULTS();
   // All three attempts of the first deliver are lost; the requests stay
   // pending on chain and the next poll re-serves them.
   GrubSystem system(WithSchedule("sp.deliver.drop*x3"), MakeBL1());
@@ -97,7 +89,6 @@ TEST(SystemFault, ExhaustedDeliverRetriesAreServedByTheNextPoll) {
 }
 
 TEST(SystemFault, CorruptProofIsRejectedOnChainAndReproved) {
-  SKIP_WITHOUT_FAULTS();
   // Integrity: a deliver carrying a corrupted proof must be rejected by the
   // on-chain verifier — the consumer NEVER sees an unverified value — and
   // the honest re-proof serves the request.
@@ -118,7 +109,6 @@ TEST(SystemFault, CorruptProofIsRejectedOnChainAndReproved) {
 }
 
 TEST(SystemFault, DroppedUpdateIsResubmittedWithTheSameDigest) {
-  SKIP_WITHOUT_FAULTS();
   GrubSystem system(WithSchedule("do.update.drop@1"), MakeBL1());
   system.Preload(SmallFeed());
   EXPECT_EQ(system.Do().update_retries(), 1u);
@@ -129,7 +119,6 @@ TEST(SystemFault, DroppedUpdateIsResubmittedWithTheSameDigest) {
 }
 
 TEST(SystemFault, CrashedDaemonTriggersWatchdogDegradationAndRecovery) {
-  SKIP_WITHOUT_FAULTS();
   // The SP daemon crashes on its first 6 polls. Reads starve, the DO's
   // watchdog re-emits them, degradation force-replicates the hot keys (BL2
   // fallback, reads keep being answered), and when the SP returns and the
@@ -156,7 +145,6 @@ TEST(SystemFault, CrashedDaemonTriggersWatchdogDegradationAndRecovery) {
 }
 
 TEST(SystemFault, ReorgReplaysTransactionsAndConverges) {
-  SKIP_WITHOUT_FAULTS();
   GrubSystem system(WithSchedule("chain.reorg%5x2"), MakeBL1());
   system.Preload(SmallFeed());
   for (int i = 0; i < 10; ++i) {
@@ -178,7 +166,6 @@ TEST(SystemFault, ReorgReplaysTransactionsAndConverges) {
 }
 
 TEST(SystemFault, SameSeedAndScheduleReproducesTheRunExactly) {
-  SKIP_WITHOUT_FAULTS();
   // Acceptance criterion: a probabilistic schedule under a fixed seed yields
   // bit-identical Gas totals, retry counts, fire counts and final state.
   auto run = [](uint64_t seed) {
@@ -201,7 +188,6 @@ TEST(SystemFault, SameSeedAndScheduleReproducesTheRunExactly) {
 }
 
 TEST(SystemFault, GasConvergesToFaultFreeSteadyStateAfterFaults) {
-  SKIP_WITHOUT_FAULTS();
   // Fault in epoch 1 only; by the final epoch the per-epoch Gas must be
   // byte-identical to a fault-free twin driven with the same trace.
   Trace trace;
@@ -226,7 +212,6 @@ TEST(SystemFault, GasConvergesToFaultFreeSteadyStateAfterFaults) {
 }
 
 TEST(SystemFault, CrashedSpDegradesInChunkedRecoveryUpdates) {
-  SKIP_WITHOUT_FAULTS();
   // A crashed SP starves a whole 640-read group. Degradation
   // force-replicates every starved key, which is more calldata than one
   // update() may carry, so the forced set must ship in chunks inside the
@@ -262,7 +247,6 @@ TEST(SystemFault, CrashedSpDegradesInChunkedRecoveryUpdates) {
 }
 
 TEST(SystemFault, KvFaultsReachTheSpBackingStore) {
-  SKIP_WITHOUT_FAULTS();
   // The injector threads through GrubSystem -> AdsSp -> KVStore only when
   // the SP has a persistent backing store; smoke-check the wiring end to
   // end with a real db path.

@@ -18,12 +18,6 @@ namespace {
 
 using workload::MakeKey;
 
-#if GRUB_FAULTS
-#define SKIP_WITHOUT_FAULTS()
-#else
-#define SKIP_WITHOUT_FAULTS() GTEST_SKIP() << "built with GRUB_FAULTS=0"
-#endif
-
 std::vector<std::pair<Bytes, Bytes>> SmallFeed(size_t n = 4) {
   std::vector<std::pair<Bytes, Bytes>> records;
   for (uint64_t i = 0; i < n; ++i) {
@@ -79,7 +73,6 @@ void ExpectDetectedAndConverged(
 }
 
 TEST(AdversaryE2E, ForgedProofIsRejectedThenFailedOver) {
-  SKIP_WITHOUT_FAULTS();
   GrubSystem system = TwoSpSystem("0:forge*");
   system.Preload(SmallFeed());
   size_t reads = 0;
@@ -90,7 +83,6 @@ TEST(AdversaryE2E, ForgedProofIsRejectedThenFailedOver) {
 }
 
 TEST(AdversaryE2E, TruncatedPathIsRejectedThenFailedOver) {
-  SKIP_WITHOUT_FAULTS();
   GrubSystem system = TwoSpSystem("0:truncate*");
   system.Preload(SmallFeed());
   size_t reads = 0;
@@ -100,7 +92,6 @@ TEST(AdversaryE2E, TruncatedPathIsRejectedThenFailedOver) {
 }
 
 TEST(AdversaryE2E, StaleRootReplayIsRejectedOnceTheRootMoves) {
-  SKIP_WITHOUT_FAULTS();
   GrubSystem system = TwoSpSystem("0:stale-root*");
   system.Preload(SmallFeed());
   // First read caches the (then-fresh) proof: the substitution is an
@@ -120,7 +111,6 @@ TEST(AdversaryE2E, StaleRootReplayIsRejectedOnceTheRootMoves) {
 }
 
 TEST(AdversaryE2E, EquivocatingForkIsRejectedThenFailedOver) {
-  SKIP_WITHOUT_FAULTS();
   // The fork is SELF-consistent (its one-leaf tree verifies internally), so
   // this scenario specifically proves the committed-root comparison — not
   // structural checks — is what detects equivocation.
@@ -133,7 +123,6 @@ TEST(AdversaryE2E, EquivocatingForkIsRejectedThenFailedOver) {
 }
 
 TEST(AdversaryE2E, SelectiveOmissionTripsTheLivenessWatchdog) {
-  SKIP_WITHOUT_FAULTS();
   // Omission leaves no on-chain evidence (nothing is submitted), so the
   // detection path is the stall detector over the chain's OWN pending set —
   // never the SP's self-reported state.
@@ -146,7 +135,6 @@ TEST(AdversaryE2E, SelectiveOmissionTripsTheLivenessWatchdog) {
 }
 
 TEST(AdversaryE2E, LoneOmittingSpDegradesInChunkedRecoveryUpdates) {
-  SKIP_WITHOUT_FAULTS();
   // With no standby to fail over to, an SP that omits everything starves a
   // whole 640-read group, and the DO degrades: it force-replicates every
   // starved key. That set is more calldata than one update() may carry, so
@@ -186,7 +174,6 @@ TEST(AdversaryE2E, LoneOmittingSpDegradesInChunkedRecoveryUpdates) {
 }
 
 TEST(AdversaryE2E, ReplayedDeliverIsRejectedByThePendingLedger) {
-  SKIP_WITHOUT_FAULTS();
   GrubSystem system = TwoSpSystem("0:replay*");
   system.Preload(SmallFeed());
   // First deliver is honest (nothing to replay yet) and gets cached.
@@ -206,7 +193,6 @@ TEST(AdversaryE2E, ReplayedDeliverIsRejectedByThePendingLedger) {
 }
 
 TEST(AdversaryE2E, DetectionLatencyLandsInTheHistogram) {
-  SKIP_WITHOUT_FAULTS();
   GrubSystem system = TwoSpSystem("0:forge*");
   system.Preload(SmallFeed());
   for (int i = 0; i < 4; ++i) system.ReadNow(MakeKey(i % 4));

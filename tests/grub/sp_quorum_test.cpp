@@ -1,6 +1,6 @@
 // SpQuorum coordinator mechanics: construction contracts, N=1 pass-through,
-// deterministic account derivation, ToJson shape, and (under GRUB_FAULTS)
-// blacklist / failover / parole state machines driven by real adversaries.
+// deterministic account derivation, ToJson shape, and the blacklist /
+// failover / parole state machines driven by real adversaries.
 #include <gtest/gtest.h>
 
 #include <set>
@@ -15,12 +15,6 @@ namespace grub::core {
 namespace {
 
 using workload::MakeKey;
-
-#if GRUB_FAULTS
-#define SKIP_WITHOUT_FAULTS()
-#else
-#define SKIP_WITHOUT_FAULTS() GTEST_SKIP() << "built with GRUB_FAULTS=0"
-#endif
 
 SystemOptions WithQuorum(size_t sps, const std::string& adversary = "",
                          uint64_t seed = 42) {
@@ -56,8 +50,7 @@ TEST(SpQuorum, ReplicaCountOutOfRangeThrows) {
 }
 
 TEST(SpQuorum, MalformedAdversarySpecThrowsInEveryBuild) {
-  // Spec validation is not gated on GRUB_FAULTS: a bad spec must fail fast
-  // even in builds where the attacks themselves are compiled out.
+  // A bad spec must fail fast at construction, before any replica runs.
   EXPECT_THROW(GrubSystem(WithQuorum(2, "not-a-class@1"), MakeBL1()),
                std::invalid_argument);
   EXPECT_THROW(GrubSystem(WithQuorum(2, "5:forge@1"), MakeBL1()),
@@ -123,7 +116,6 @@ TEST(SpQuorum, ToJsonShapeIsStable) {
 }
 
 TEST(SpQuorum, VerifiedRejectionsBlacklistAndFailOverInTheSameCycle) {
-  SKIP_WITHOUT_FAULTS();
   GrubSystem system(WithQuorum(2, "0:forge*"), MakeBL1());
   system.Preload(SmallFeed());
   // Two polls with forged proofs reach the blacklist threshold (default 2);
@@ -147,7 +139,6 @@ TEST(SpQuorum, VerifiedRejectionsBlacklistAndFailOverInTheSameCycle) {
 }
 
 TEST(SpQuorum, AllByzantineQuorumParolesButNeverAcceptsForgedValues) {
-  SKIP_WITHOUT_FAULTS();
   // Every replica forges every deliver: no SP ever lands a value, parole
   // cycles replicas, and integrity holds. Availability may still recover —
   // the DO's own watchdog degrades starved keys to replicated mode and
@@ -166,7 +157,6 @@ TEST(SpQuorum, AllByzantineQuorumParolesButNeverAcceptsForgedValues) {
 }
 
 TEST(SpQuorum, DeterministicUnderSeed) {
-  SKIP_WITHOUT_FAULTS();
   auto run = [](uint64_t seed) {
     GrubSystem system(WithQuorum(3, "0:forge~0.5,omit~0.2", seed), MakeBL1());
     system.Preload(SmallFeed());
@@ -178,7 +168,6 @@ TEST(SpQuorum, DeterministicUnderSeed) {
 }
 
 TEST(SpQuorum, RejectedCalldataIsNeverResentVerbatim) {
-  SKIP_WITHOUT_FAULTS();
   // The retry path distinguishes proof-REJECTED from tx-DROPPED: a dropped
   // deliver retries verbatim (it was honest, the network ate it), but a
   // provably-rejected one must never be resubmitted unchanged — the chain
@@ -211,7 +200,6 @@ TEST(SpQuorum, RejectedCalldataIsNeverResentVerbatim) {
 }
 
 TEST(SpQuorum, LivenessStallBlacklistsASilentActive) {
-  SKIP_WITHOUT_FAULTS();
   // Replica 0 omits every batch: no rejection ever lands on chain, so only
   // the liveness watchdog (oldest pending unchanged for
   // liveness_timeout_polls) can catch it.
@@ -227,7 +215,6 @@ TEST(SpQuorum, LivenessStallBlacklistsASilentActive) {
 }
 
 TEST(SpQuorum, ByzantineFeedFailsOverWithoutTouchingItsNeighbour) {
-  SKIP_WITHOUT_FAULTS();
   // Multi-feed tenancy: each feed owns its quorum. Feed 0 is under attack
   // behind a 2-replica quorum, feed 1 is a classic single honest SP on the
   // SAME chain — the blast radius of a Byzantine SP is its own feed, and

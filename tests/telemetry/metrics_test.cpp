@@ -179,20 +179,5 @@ TEST(MetricsRegistry, SnapshotCoversEveryInstrument) {
   EXPECT_TRUE(saw_counter && saw_gauge && saw_histogram);
 }
 
-TEST(MetricsRegistry, DisabledRegistryIsInert) {
-  MetricsRegistry registry(/*enabled=*/false);
-  EXPECT_FALSE(registry.enabled());
-
-  Counter& a = registry.GetCounter("a");
-  Counter& b = registry.GetCounter("b", {{"x", "y"}});
-  EXPECT_EQ(&a, &b);  // shared no-op sink
-  a.Increment(100);
-
-  registry.GetGauge("g").Set(5);
-  registry.GetHistogram("h", {}, {1.0}).Record(0.5);
-
-  EXPECT_TRUE(registry.Snapshot().empty());
-}
-
 }  // namespace
 }  // namespace grub::telemetry

@@ -193,8 +193,8 @@ TEST(SchemaGolden, BenchReportJson) {
 
 TEST(SchemaGolden, QuorumJson) {
   // The SpQuorum summary grubctl embeds verbatim under --json "quorum".
-  // Honest replicas only: a Byzantine run's counters depend on GRUB_FAULTS,
-  // and this golden must hold in every build flavour.
+  // Honest replicas only: the golden pins the summary's shape, not an
+  // attack's counters.
   core::SystemOptions options;
   options.sp_replicas = 2;
   core::GrubSystem system(options, core::MakeBL1());

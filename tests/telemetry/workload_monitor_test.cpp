@@ -145,7 +145,6 @@ TEST(WorkloadMonitor, ToJsonIsDeterministic) {
   EXPECT_NE(doc.find("\"flip_regret\""), std::string::npos);
 }
 
-#if GRUB_TELEMETRY
 TEST(ProfileRegistry, SampledProbesCountEveryHit) {
   ProfileRegistry::Reset();
   ProfileRegistry::Enable(true);
@@ -198,7 +197,6 @@ TEST(ProfileRegistry, ResetClearsEverything) {
   EXPECT_EQ(probe.total_ns, 0u);
   EXPECT_EQ(probe.max_ns, 0u);
 }
-#endif  // GRUB_TELEMETRY
 
 }  // namespace
 }  // namespace grub::telemetry

@@ -148,8 +148,7 @@ void PrintUsage() {
       "                  '0:omit*;1:replay@1' — classes forge, truncate,\n"
       "                  stale-root, equivocate, omit, replay with the\n"
       "                  --faults rule grammar; '<i>:' prefixes bind a rule\n"
-      "                  group to replica i (bare group = replica 0).\n"
-      "                  Attacks mutate delivers only in GRUB_FAULTS builds;\n"
+      "                  group to replica i (bare group = replica 0);\n"
       "                  seeded by --fault-seed\n"
       "  --shards N      partition the keyspace into N Merkle-forest shards\n"
       "                  (default 1 = the legacy single tree, Gas-identical);\n"
@@ -173,13 +172,12 @@ void PrintUsage() {
       "                  rebuild and update, sha256, codec, kvstore) and\n"
       "                  append the count/total/max ns table to the text\n"
       "                  report — wall-clock, so never part of --json or\n"
-      "                  --watch output. Requires a GRUB_TELEMETRY build\n"
+      "                  --watch output\n"
       "  --json          print one machine-readable JSON summary on stdout\n"
       "                  instead of the text report (implies --telemetry):\n"
       "                  gas totals, component x cause breakdown, per-epoch\n"
       "                  series, activity and robustness counters, and the\n"
-      "                  pinned workload.observatory section (GRUB_TELEMETRY\n"
-      "                  builds)\n");
+      "                  pinned workload.observatory section\n");
 }
 
 bool ParseArgs(int argc, char** argv, Args& args) {
@@ -495,7 +493,7 @@ core::SystemOptions MakeSystemOptions(const Args& args,
   options.shards = args.shards;
   // The observatory is on for the bare --workload table, the --watch stream,
   // and --json (which pins a workload.observatory section). Gas-invisible by
-  // contract — ci.sh diffs the Gas report with the monitor on vs off.
+  // contract — the `identity` ctest pins Gas with the monitor on vs off.
   options.enable_workload_monitor =
       args.workload_report || args.watch > 0 || args.json;
   if (args.shards > 1) {
@@ -814,9 +812,7 @@ int main(int argc, char** argv) {
                 args.record_bytes);
   }
 
-#if GRUB_TELEMETRY
   if (args.profile) telemetry::ProfileRegistry::Enable(true);
-#endif
   if (system.Workload() != nullptr) system.EnableWorkloadOracle(trace);
   if (args.converged) {
     system.Drive(trace);
@@ -924,13 +920,10 @@ int main(int argc, char** argv) {
       workload.Set("writes", JsonValue::NumberU64(stats.writes));
       workload.Set("reads", JsonValue::NumberU64(stats.reads));
       workload.Set("scans", JsonValue::NumberU64(stats.scans));
-      // Pinned observatory section (absent only in GRUB_TELEMETRY=OFF
-      // builds); the schema golden test locks the field order.
-      if (system.Workload() != nullptr) {
-        workload.Set("observatory",
-                     system.Workload()->ToJson(
-                         system.Chain().CurrentBlockNumber()));
-      }
+      // Pinned observatory section (--json turns the monitor on); the
+      // schema golden test locks the field order.
+      workload.Set("observatory", system.Workload()->ToJson(
+                                      system.Chain().CurrentBlockNumber()));
       root.Set("workload", std::move(workload));
     }
     // New sections are appended conditionally so legacy (no --scenario, unit
@@ -1098,7 +1091,6 @@ int main(int argc, char** argv) {
     telemetry::PrintFlipRegret(
         summary, OracleFlips(trace, options.chain_params.gas, replay));
   }
-#if GRUB_TELEMETRY
   if (args.profile && text) {
     std::printf("\nhot-path probes (wall-clock, ns):\n");
     std::printf("  %-16s %10s %14s %12s\n", "site", "count", "total_ns",
@@ -1110,22 +1102,9 @@ int main(int argc, char** argv) {
                   static_cast<unsigned long long>(p.max_ns));
     }
   }
-#else
-  if (args.profile && text) {
-    std::printf("\nhot-path probes: compiled out "
-                "(rebuild with -DGRUB_TELEMETRY=ON)\n");
-  }
-#endif
-  // Kept last so scripts can strip everything from this header down and
-  // compare the Gas report with the observatory on vs off (ci.sh does).
+  // Kept last so scripts can strip everything from this header down.
   if (args.workload_report && text) {
-    if (system.Workload() != nullptr) {
-      system.Workload()->PrintTable(system.Chain().CurrentBlockNumber());
-    } else {
-      std::printf("=== workload observatory ===\n"
-                  "(telemetry compiled out; rebuild with "
-                  "-DGRUB_TELEMETRY=ON)\n");
-    }
+    system.Workload()->PrintTable(system.Chain().CurrentBlockNumber());
   }
   return 0;
 }
