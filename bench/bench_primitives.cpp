@@ -1,13 +1,16 @@
 // Microbenchmarks of the substrate primitives (google-benchmark): SHA-256,
 // Merkle proofs, the embedded KV store, and simulated chain transactions.
 // These gate performance regressions in the simulator itself — wall-clock,
-// not Gas.
+// not Gas. The run's context names the SHA-256 kernel the CPU selected
+// ("sha256_kernel": "sha-ni" or "scalar"), so every hashing row names its
+// source.
 #include <benchmark/benchmark.h>
 
 #include "ads/sp.h"
 #include "chain/blockchain.h"
 #include "crypto/merkle.h"
 #include "crypto/sha256.h"
+#include "crypto/sha256_kernels.h"
 #include "kvstore/db.h"
 #include "workload/trace.h"
 
@@ -35,6 +38,19 @@ void BM_MerkleBuild(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_MerkleBuild)->Arg(1024)->Arg(65536);
+
+// The fixed-shape 65-byte node hash alone, chained as an audit path is:
+// each result feeds the next call.
+void BM_MerkleHashNode(benchmark::State& state) {
+  Hash256 acc = Hash256::FromU64(1);
+  const Hash256 sibling = Hash256::FromU64(2);
+  for (auto _ : state) {
+    acc = MerkleTree::HashNode(acc, sibling);
+    benchmark::DoNotOptimize(acc);
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
+}
+BENCHMARK(BM_MerkleHashNode);
 
 void BM_MerkleProveVerify(benchmark::State& state) {
   const size_t n = static_cast<size_t>(state.range(0));
@@ -149,4 +165,12 @@ BENCHMARK(BM_ChainTransaction);
 
 }  // namespace
 
-BENCHMARK_MAIN();
+int main(int argc, char** argv) {
+  benchmark::AddCustomContext("sha256_kernel",
+                              sha256_kernels::SelectedName());
+  benchmark::Initialize(&argc, argv);
+  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
+  benchmark::RunSpecifiedBenchmarks();
+  benchmark::Shutdown();
+  return 0;
+}

@@ -2,9 +2,11 @@
 
 #include <algorithm>
 #include <bit>
+#include <cstring>
 #include <stdexcept>
 
 #include "crypto/sha256.h"
+#include "crypto/sha256_kernels.h"
 #include "telemetry/profile.h"
 
 namespace grub {
@@ -19,19 +21,21 @@ size_t CapacityFor(size_t n) {
 
 Hash256 MerkleTree::HashLeafData(ByteSpan data) {
   static constexpr uint8_t kLeafPrefix = 0x00;
-  Sha256 h;
-  h.Update(ByteSpan(&kLeafPrefix, 1));
-  h.Update(data);
-  return h.Finish();
+  return Sha256::Digest2(ByteSpan(&kLeafPrefix, 1), data);
 }
 
 Hash256 MerkleTree::HashNode(const Hash256& left, const Hash256& right) {
-  static constexpr uint8_t kNodePrefix = 0x01;
-  Sha256 h;
-  h.Update(ByteSpan(&kNodePrefix, 1));
-  h.Update(left.Span());
-  h.Update(right.Span());
-  return h.Finish();
+  // 0x01 || left || right is always 65 bytes, so its padding is fixed: 0x80
+  // at byte 65 and the bit length 520 in the last two bytes of block two.
+  constexpr size_t kBits = 65 * 8;
+  uint8_t blocks[128] = {};
+  blocks[0] = 0x01;
+  std::memcpy(blocks + 1, left.bytes.data(), 32);
+  std::memcpy(blocks + 33, right.bytes.data(), 32);
+  blocks[65] = 0x80;
+  blocks[126] = static_cast<uint8_t>(kBits >> 8);
+  blocks[127] = static_cast<uint8_t>(kBits);
+  return sha256_kernels::DigestPadded(blocks, 2);
 }
 
 MerkleTree::MerkleTree(std::vector<Hash256> leaves) {

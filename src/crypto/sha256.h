@@ -4,6 +4,12 @@
 // block hashes, storage-key derivation, and the MAC signer are all built on
 // it. The streaming interface lets callers hash large records without
 // intermediate copies.
+//
+// Two compression kernels sit behind it (crypto/sha256_kernels.h): one on
+// the x86 SHA extensions and a portable scalar one, which is the reference
+// the tests compare the other against. The process selects one once, from
+// CPUID, on first use; no option or flag chooses, and both produce the same
+// digests.
 #pragma once
 
 #include <cstddef>
@@ -30,8 +36,6 @@ class Sha256 {
   static Hash256 Digest2(ByteSpan a, ByteSpan b);
 
  private:
-  void ProcessBlock(const uint8_t* block);
-
   uint32_t state_[8];
   uint64_t bit_count_;
   uint8_t buffer_[64];

@@ -2,6 +2,7 @@
 
 #include <cstring>
 #include <map>
+#include <string_view>
 
 #include "crypto/sha256.h"
 #include "shard/forest.h"
@@ -12,21 +13,31 @@ namespace grub::core {
 using chain::AbiReader;
 using chain::AbiWriter;
 
+namespace {
+
+// A string's bytes viewed in place. Slots are derived several times per op,
+// so the tags are hashed from their literals rather than copied to the heap.
+ByteSpan BytesOf(std::string_view s) {
+  return {reinterpret_cast<const uint8_t*>(s.data()), s.size()};
+}
+
+}  // namespace
+
 Word StorageManagerContract::RootSlot() {
-  static const Word slot = Sha256::Digest(ToBytes("grub.root"));
+  static const Word slot = Sha256::Digest(BytesOf("grub.root"));
   return slot;
 }
 
 Word StorageManagerContract::LenSlot(ByteSpan key) {
-  return Sha256::Digest2(ToBytes("grub.len"), key);
+  return Sha256::Digest2(BytesOf("grub.len"), key);
 }
 
 Word StorageManagerContract::ValueBase(ByteSpan key) {
-  return Sha256::Digest2(ToBytes("grub.kv"), key);
+  return Sha256::Digest2(BytesOf("grub.kv"), key);
 }
 
 Word StorageManagerContract::CounterSlot(ByteSpan key) {
-  return Sha256::Digest2(ToBytes("grub.cnt"), key);
+  return Sha256::Digest2(BytesOf("grub.cnt"), key);
 }
 
 Word StorageManagerContract::PendingSlot(ByteSpan key,
@@ -38,8 +49,8 @@ Word StorageManagerContract::PendingSlot(ByteSpan key,
   AbiWriter w;
   w.Blob(key);
   w.U64(callback_contract);
-  w.Blob(ToBytes(callback_function));
-  return Sha256::Digest2(ToBytes("grub.pending"), w.Take());
+  w.Blob(BytesOf(callback_function));
+  return Sha256::Digest2(BytesOf("grub.pending"), w.Take());
 }
 
 void StorageManagerContract::NotePendingRequest(
@@ -55,15 +66,15 @@ void StorageManagerContract::NotePendingRequest(
 }
 
 Word StorageManagerContract::DigestSlot(ByteSpan key) {
-  return Sha256::Digest2(ToBytes("grub.digest"), key);
+  return Sha256::Digest2(BytesOf("grub.digest"), key);
 }
 
 Word StorageManagerContract::ShardRootSlot(uint32_t s) {
-  Bytes index(8);
+  uint8_t index[8];
   for (size_t b = 0; b < 8; ++b) {
     index[b] = static_cast<uint8_t>(static_cast<uint64_t>(s) >> (56 - 8 * b));
   }
-  return Sha256::Digest2(ToBytes("grub.shard.root"), index);
+  return Sha256::Digest2(BytesOf("grub.shard.root"), index);
 }
 
 Status StorageManagerContract::Call(chain::CallContext& ctx,

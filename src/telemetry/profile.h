@@ -14,11 +14,12 @@
 // costs one relaxed atomic load and never reads the clock.
 //
 // Timing is SAMPLED: every hit bumps the site's count (one relaxed
-// fetch_add), but only one hit in kSampleEvery reads the clock — sites like
-// sha256 fire several times per simulated op, and two steady_clock reads per
-// hit would dwarf the work being measured (bench_throughput gates the
+// fetch_add), but only one hit in kSampleEvery reads the clock — sha256
+// fires for every Merkle node and leaf hash, several times per simulated op,
+// and two steady_clock reads (~45 ns each on a VM clocksource) per ~150 ns
+// node hash would dwarf the work being measured (bench_throughput gates the
 // monitor+probe overhead at 5%). Snapshot() scales the sampled nanoseconds
-// back up by count/samples, so `total_ns` is an estimate with ~1/8 of the
+// back up by count/samples, so `total_ns` is an estimate with ~1/64 of the
 // clock cost; `max_ns` is the max over sampled hits. The first hit of every
 // site is always sampled, so any exercised path shows nonzero time.
 //
@@ -64,7 +65,7 @@ class ProfileRegistry {
   static bool Enabled() { return enabled_.load(std::memory_order_relaxed); }
 
   /// One clock read per this many hits (power of two; first hit sampled).
-  static constexpr uint64_t kSampleEvery = 8;
+  static constexpr uint64_t kSampleEvery = 64;
 
   static void Reset() {
     for (size_t i = 0; i < kSites; ++i) {
