@@ -1,5 +1,6 @@
 // Microbenchmarks of the substrate primitives (google-benchmark): SHA-256,
-// Merkle proofs, the embedded KV store, and simulated chain transactions.
+// Merkle proofs, the embedded KV store, per-key policy lookups, and
+// simulated chain transactions.
 // These gate performance regressions in the simulator itself — wall-clock,
 // not Gas. The run's context names the SHA-256 kernel the CPU selected
 // ("sha256_kernel": "sha-ni" or "scalar"), so every hashing row names its
@@ -8,9 +9,11 @@
 
 #include "ads/sp.h"
 #include "chain/blockchain.h"
+#include "common/rng.h"
 #include "crypto/merkle.h"
 #include "crypto/sha256.h"
 #include "crypto/sha256_kernels.h"
+#include "grub/policy.h"
 #include "kvstore/db.h"
 #include "workload/trace.h"
 
@@ -135,6 +138,35 @@ void BM_AdsSpGetProof(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_AdsSpGetProof);
+
+// The DO's per-read policy step (DoClient::NoteRead): tier before, observe
+// the read, tier after, over a warmed table of `n` keys visited in a
+// shuffled order, so each step is a lookup of a key the last one did not
+// touch.
+void BM_PolicyObserve(benchmark::State& state) {
+  const uint64_t n = static_cast<uint64_t>(state.range(0));
+  core::MemorylessPolicy policy(2);
+  std::vector<workload::Operation> reads;
+  reads.reserve(n);
+  for (uint64_t i = 0; i < n; ++i) {
+    reads.push_back(workload::Operation::Read(workload::MakeKey(i)));
+    policy.Observe(reads.back());
+  }
+  Rng rng(n);
+  for (size_t i = reads.size() - 1; i > 0; --i) {
+    std::swap(reads[i], reads[rng.NextBounded(i + 1)]);
+  }
+  size_t i = 0;
+  for (auto _ : state) {
+    const workload::Operation& op = reads[i];
+    benchmark::DoNotOptimize(policy.TierOf(op.key));
+    policy.Observe(op);
+    benchmark::DoNotOptimize(policy.TierOf(op.key));
+    if (++i == reads.size()) i = 0;
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
+}
+BENCHMARK(BM_PolicyObserve)->Arg(65536);
 
 // A contract that burns a fixed storage write (simulated tx throughput).
 class TouchContract : public chain::Contract {

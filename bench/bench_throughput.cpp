@@ -31,8 +31,8 @@ telemetry::BenchReport Run(const BenchOptions& opts) {
 
   std::printf("=== Effective feed throughput under 10M-Gas blocks, B = 14s "
               "(fixed ratio %.0f workload) ===\n", ratio);
-  std::printf("%-28s %14s %10s %14s %12s\n", "", "total Gas", "Gas/op",
-              "blocks@10M", "ops/sec");
+  std::printf("%-28s %14s %10s %14s %16s\n", "", "total Gas", "Gas/op",
+              "blocks@10M", "Gas-bound ops/s");
 
   auto& feed_series = report.AddSeries("Gas-bound feed throughput");
   double grub_ops_per_sec = 0;
@@ -61,12 +61,12 @@ telemetry::BenchReport Run(const BenchOptions& opts) {
 
     const double total = static_cast<double>(gas);
     const double per_op = total / static_cast<double>(ops);
-    // Gas-bound throughput: 10M Gas per 14-second block. This ops/sec is
+    // Gas-bound throughput: 10M Gas per 14-second block. This rate is
     // DERIVED from Gas (deterministic), not measured wall-clock.
     const double blocks = total / 10e6;
     const double ops_per_sec =
         static_cast<double>(ops) / (blocks * 14.0);
-    std::printf("%-28s %14.0f %10.0f %14.1f %12.1f\n", label.c_str(), total,
+    std::printf("%-28s %14.0f %10.0f %14.1f %16.1f\n", label.c_str(), total,
                 per_op, blocks, ops_per_sec);
     feed_series.Add(label, static_cast<double>(variant_index++))
         .Ops(ops, gas)
@@ -75,8 +75,8 @@ telemetry::BenchReport Run(const BenchOptions& opts) {
   }
 
   std::printf("\nGas saving converts 1:1 into feed throughput: GRuB sustains "
-              "%.0f ops/sec where the dearer baseline saturates the chain "
-              "sooner.\n", grub_ops_per_sec);
+              "%.0f Gas-bound ops/s where the dearer baseline saturates the "
+              "chain sooner.\n", grub_ops_per_sec);
 
   // Sanity: the simulator's block-gas-limit machinery agrees with the
   // arithmetic above.

@@ -41,6 +41,8 @@ class AdsDo {
 
   Hash256 Root() const { return mirror_.Root(); }
   size_t RecordCount() const { return keys_.size(); }
+  /// The keys the mirror commits to, sorted (leaf order).
+  const std::vector<Bytes>& Keys() const { return keys_; }
 
   /// Signs the current root for the given epoch.
   Signature SignRoot(uint64_t epoch) const {

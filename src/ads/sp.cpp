@@ -164,11 +164,15 @@ Result<FeedRecord> AdsSp::Peek(ByteSpan key) const {
 }
 
 void AdsSp::SetAdvisoryTier(ByteSpan key, tier::StorageTier t) {
-  advisory_[Bytes(key.begin(), key.end())] = t;
+  if (auto it = advisory_.find(key); it != advisory_.end()) {
+    it->second = t;
+  } else {
+    advisory_.emplace(Bytes(key.begin(), key.end()), t);
+  }
 }
 
 tier::StorageTier AdsSp::EffectiveTier(ByteSpan key) const {
-  auto it = advisory_.find(Bytes(key.begin(), key.end()));
+  auto it = advisory_.find(key);
   if (it != advisory_.end()) return it->second;
   const size_t pos = LowerBound(key);
   if (pos < records_.size() && Compare(records_[pos].key, key) == 0) {

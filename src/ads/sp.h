@@ -12,9 +12,9 @@
 // forge/omit/fork attacks so tests can confirm verification catches them.
 #pragma once
 
-#include <map>
 #include <memory>
 #include <span>
+#include <unordered_map>
 #include <vector>
 
 #include "ads/proofs.h"
@@ -121,16 +121,12 @@ class AdsSp {
   size_t LowerBound(ByteSpan key) const;
   void PersistRecord(const FeedRecord& record);
 
-  struct BytesLess {
-    bool operator()(const Bytes& a, const Bytes& b) const {
-      return Compare(a, b) < 0;
-    }
-  };
-
   std::vector<FeedRecord> records_;  // key-sorted, indices = leaf indices
   MerkleTree tree_;
   std::unique_ptr<kv::KVStore> db_;
-  std::map<Bytes, tier::StorageTier, BytesLess> advisory_;
+  /// Hashed: consulted once per DO-observed read and per served request.
+  std::unordered_map<Bytes, tier::StorageTier, BytesHash, BytesEqual>
+      advisory_;
 };
 
 }  // namespace grub::ads

@@ -55,4 +55,26 @@ Bytes Concat(std::initializer_list<ByteSpan> parts);
 /// Lexicographic three-way comparison (memcmp semantics, then by length).
 int Compare(ByteSpan a, ByteSpan b);
 
+/// The bytes viewed as characters, without a copy.
+inline std::string_view AsChars(ByteSpan data) {
+  return {reinterpret_cast<const char*>(data.data()), data.size()};
+}
+
+/// Transparent hash and equality for hashed containers keyed by `Bytes`:
+/// `find` and `count` accept any byte span, so a lookup never builds a key.
+/// Iteration order of such a container is unspecified; it must never reach
+/// Gas, calldata, events, reports or exports.
+struct BytesHash {
+  using is_transparent = void;
+  size_t operator()(ByteSpan key) const {
+    return std::hash<std::string_view>{}(AsChars(key));
+  }
+};
+struct BytesEqual {
+  using is_transparent = void;
+  bool operator()(ByteSpan a, ByteSpan b) const {
+    return AsChars(a) == AsChars(b);
+  }
+};
+
 }  // namespace grub

@@ -19,9 +19,6 @@ DoClient::DoClient(chain::Blockchain& chain, shard::ShardedAdsSp& sp,
   auto db = kv::KVStore::Open(kv::Options{}, "");
   if (!db.ok()) throw std::runtime_error("DoClient: value cache open failed");
   value_cache_ = std::move(db).value();
-  // The policy keeps per-key decision state partitioned the same way the
-  // forest is: one arena bucket per shard.
-  policy_->BindShards(&sp_.Map());
   per_shard_update_gas_.assign(sp_.ShardCount(), 0);
 }
 
@@ -130,7 +127,6 @@ void DoClient::Preload(const std::vector<std::pair<Bytes, Bytes>>& records) {
     const ads::ReplState state = policy_->StateOf(key);
     feed_records.push_back(ads::FeedRecord{key, value, state});
     (void)value_cache_->Put(key, value);
-    known_keys_.insert(key);
     // Genesis-warm the contract slots (converged-cost methodology: the
     // measured run charges update-rate re-replication, never the one-time
     // cold inserts). Always-R policies start with live replicas, matching
@@ -228,7 +224,6 @@ chain::Receipt DoClient::EndEpoch() {
     batches[sp_.Map().ShardOf(write.key)].push_back(
         ads::FeedRecord{write.key, write.value, state});
     (void)value_cache_->Put(write.key, write.value);
-    known_keys_.insert(write.key);
   }
   for (uint32_t s = 0; s < shard_count; ++s) {
     if (batches[s].empty()) continue;
@@ -482,8 +477,10 @@ std::vector<Bytes> DoClient::EncodeUpdateChunks(
 
 std::array<size_t, tier::kNumStorageTiers> DoClient::TierCensus() const {
   std::array<size_t, tier::kNumStorageTiers> census{};
-  for (const auto& key : known_keys_) {
-    census[static_cast<size_t>(policy_->TierOf(key))] += 1;
+  for (size_t s = 0; s < sp_.ShardCount(); ++s) {
+    for (const Bytes& key : ads_do_.ShardKeys(s)) {
+      census[static_cast<size_t>(policy_->TierOf(key))] += 1;
+    }
   }
   return census;
 }

@@ -20,6 +20,7 @@
 
 #include <array>
 #include <set>
+#include <unordered_set>
 #include <vector>
 
 #include "chain/blockchain.h"
@@ -55,9 +56,11 @@ class DoClient {
     chain::TimeSec retry_backoff_sec = 2;
   };
 
+  /// Hashed key set for the per-key sets consulted on every epoch close.
+  using KeySet = std::unordered_set<Bytes, BytesHash, BytesEqual>;
+
   /// `sp` carries the shard layout: the DO mirrors it with one tree per
-  /// shard and binds the policy's arenas to the same map. A single-shard
-  /// forest is the legacy deployment bit-for-bit.
+  /// shard. A single-shard forest is the legacy deployment bit-for-bit.
   DoClient(chain::Blockchain& chain, shard::ShardedAdsSp& sp, Options options,
            std::unique_ptr<ReplicationPolicy> policy);
 
@@ -93,13 +96,14 @@ class DoClient {
 
   /// Keys whose replica currently lives in contract storage (as tracked by
   /// the monitor).
-  const std::set<Bytes>& OnChainReplicas() const { return replicas_on_chain_; }
+  const KeySet& OnChainReplicas() const { return replicas_on_chain_; }
 
   /// Keys whose log-tier digest pin is currently live on chain.
-  const std::set<Bytes>& LogPinsOnChain() const { return log_pins_on_chain_; }
+  const KeySet& LogPinsOnChain() const { return log_pins_on_chain_; }
 
-  /// Per-tier key counts over every key the DO knows, by the policy's
-  /// CURRENT placement (the `placement` census grubctl surfaces).
+  /// Per-tier key counts over every key the DO's ADS mirror holds (the
+  /// preloaded keys plus every key written since), by the policy's CURRENT
+  /// placement (the `placement` census grubctl surfaces).
   std::array<size_t, tier::kNumStorageTiers> TierCensus() const;
 
   uint64_t tier_flips() const { return tier_flips_; }
@@ -237,11 +241,12 @@ class DoClient {
     Bytes value;
   };
   std::vector<BufferedWrite> pending_writes_;
-  std::set<Bytes> touched_;  // keys observed since the last epoch close
+  // Keys observed since the last epoch close. Ordered: its order is the
+  // eviction and unpin order in the update() calldata.
+  std::set<Bytes> touched_;
 
-  std::set<Bytes> replicas_on_chain_;
-  std::set<Bytes> log_pins_on_chain_;
-  std::set<Bytes> known_keys_;
+  KeySet replicas_on_chain_;
+  KeySet log_pins_on_chain_;
   size_t call_history_cursor_ = 0;
   uint64_t epoch_ = 0;
 
@@ -253,7 +258,7 @@ class DoClient {
   uint64_t epoch_span_ = 0;                 // open epoch span (0 = none)
   std::string policy_name_;  // cached Policy().Name() for audit records
   bool degraded_ = false;
-  std::set<Bytes> forced_replicas_;  // degradation-pinned on-chain replicas
+  KeySet forced_replicas_;           // degradation-pinned on-chain replicas
   uint64_t stale_rounds_ = 0;        // consecutive rounds with stale reads
   uint64_t update_retries_ = 0;
   uint64_t watchdog_reemits_ = 0;

@@ -16,12 +16,19 @@ std::string FormatParam(double v) {
   return buf;
 }
 
+/// The key's state, or null when the policy has never observed the key.
+template <typename State>
+const State* FindState(const KeyMap<State>& states, const Bytes& key) {
+  auto it = states.find(key);
+  return it == states.end() ? nullptr : &it->second;
+}
+
 }  // namespace
 
 // --- MemorylessPolicy (Algorithm 1) ---
 
 void MemorylessPolicy::Observe(const workload::Operation& op) {
-  State& s = states_.At(op.key);
+  State& s = states_[op.key];
   const uint64_t old_reads = s.consecutive_reads;
   const ads::ReplState old_state = s.state;
   if (op.type == OpType::kWrite) {
@@ -39,12 +46,12 @@ void MemorylessPolicy::Observe(const workload::Operation& op) {
 }
 
 ads::ReplState MemorylessPolicy::StateOf(const Bytes& key) const {
-  const State* s = states_.Find(key);
+  const State* s = FindState(states_, key);
   return s == nullptr ? ads::ReplState::kNR : s->state;
 }
 
 std::string MemorylessPolicy::CounterState(const Bytes& key) const {
-  const State* s = states_.Find(key);
+  const State* s = FindState(states_, key);
   const uint64_t reads = s == nullptr ? 0 : s->consecutive_reads;
   return "consecutive_reads=" + std::to_string(reads);
 }
@@ -57,14 +64,14 @@ std::string MemorizingPolicy::Name() const {
 }
 
 std::string MemorizingPolicy::CounterState(const Bytes& key) const {
-  const State* s = states_.Find(key);
+  const State* s = FindState(states_, key);
   const double r = s == nullptr ? 0 : s->r_count;
   const double w = s == nullptr ? 0 : s->w_count;
   return "r=" + FormatParam(r) + ",w=" + FormatParam(w);
 }
 
 void MemorizingPolicy::Observe(const workload::Operation& op) {
-  State& s = states_.At(op.key);
+  State& s = states_[op.key];
   const double old_r = s.r_count;
   const double old_w = s.w_count;
   const ads::ReplState old_state = s.state;
@@ -96,7 +103,7 @@ void MemorizingPolicy::Observe(const workload::Operation& op) {
 }
 
 ads::ReplState MemorizingPolicy::StateOf(const Bytes& key) const {
-  const State* s = states_.Find(key);
+  const State* s = FindState(states_, key);
   return s == nullptr ? ads::ReplState::kNR : s->state;
 }
 
@@ -124,7 +131,7 @@ std::string RenderAdaptiveState(const std::vector<uint64_t>& runs,
 }  // namespace
 
 void AdaptiveKPolicy::Observe(const workload::Operation& op) {
-  State& s = states_.At(op.key);
+  State& s = states_[op.key];
   if (op.type != OpType::kWrite) {
     s.reads_since_write += 1;
     return;
@@ -160,7 +167,7 @@ void AdaptiveKPolicy::Observe(const workload::Operation& op) {
 }
 
 ads::ReplState AdaptiveKPolicy::StateOf(const Bytes& key) const {
-  const State* s = states_.Find(key);
+  const State* s = FindState(states_, key);
   return s == nullptr ? ads::ReplState::kNR : s->state;
 }
 
@@ -171,7 +178,7 @@ std::string AdaptiveKPolicy::Name() const {
 }
 
 std::string AdaptiveKPolicy::CounterState(const Bytes& key) const {
-  const State* s = states_.Find(key);
+  const State* s = FindState(states_, key);
   if (s == nullptr) return "runs=[],reads_since_write=0";
   return RenderAdaptiveState(s->recent_read_runs, s->reads_since_write);
 }
@@ -232,7 +239,7 @@ void WindowedKPolicy::ObservePrice(uint64_t exec_milli, uint64_t storage_milli,
 }
 
 void WindowedKPolicy::Observe(const workload::Operation& op) {
-  State& s = states_.At(op.key);
+  State& s = states_[op.key];
   const State before = s;
   const double k_eff = CurrentK();
   if (PricedMemorizingStep(s, op.type, k_eff) && audit_) {
@@ -242,7 +249,7 @@ void WindowedKPolicy::Observe(const workload::Operation& op) {
 }
 
 ads::ReplState WindowedKPolicy::StateOf(const Bytes& key) const {
-  const State* s = states_.Find(key);
+  const State* s = FindState(states_, key);
   return s == nullptr ? ads::ReplState::kNR : s->state;
 }
 
@@ -252,7 +259,7 @@ std::string WindowedKPolicy::Name() const {
 }
 
 std::string WindowedKPolicy::CounterState(const Bytes& key) const {
-  const State* s = states_.Find(key);
+  const State* s = FindState(states_, key);
   return RenderPricedCounters(s == nullptr ? State{} : *s, CurrentK());
 }
 
@@ -271,7 +278,7 @@ void PriceEwmaPolicy::ObservePrice(uint64_t exec_milli, uint64_t storage_milli,
 }
 
 void PriceEwmaPolicy::Observe(const workload::Operation& op) {
-  State& s = states_.At(op.key);
+  State& s = states_[op.key];
   const State before = s;
   const double k_eff = CurrentK();
   if (PricedMemorizingStep(s, op.type, k_eff) && audit_) {
@@ -281,7 +288,7 @@ void PriceEwmaPolicy::Observe(const workload::Operation& op) {
 }
 
 ads::ReplState PriceEwmaPolicy::StateOf(const Bytes& key) const {
-  const State* s = states_.Find(key);
+  const State* s = FindState(states_, key);
   return s == nullptr ? ads::ReplState::kNR : s->state;
 }
 
@@ -291,7 +298,7 @@ std::string PriceEwmaPolicy::Name() const {
 }
 
 std::string PriceEwmaPolicy::CounterState(const Bytes& key) const {
-  const State* s = states_.Find(key);
+  const State* s = FindState(states_, key);
   return RenderPricedCounters(s == nullptr ? State{} : *s, CurrentK());
 }
 
@@ -371,15 +378,15 @@ OfflineOptimalPolicy::OfflineOptimalPolicy(const workload::Trace& trace,
               ? ads::ReplState::kR
               : ads::ReplState::kNR);
     }
-    states_.At(key) = std::move(s);
+    states_[key] = std::move(s);
   }
 }
 
 void OfflineOptimalPolicy::Observe(const workload::Operation& op) {
   if (op.type != OpType::kWrite) return;
-  State* found = states_.Find(op.key);
-  if (found == nullptr) return;
-  State& s = *found;
+  auto found = states_.find(op.key);
+  if (found == states_.end()) return;
+  State& s = found->second;
   const ads::ReplState old_state = s.state;
   const size_t old_next = s.next_write;
   if (s.next_write < s.decisions.size()) {
@@ -394,12 +401,12 @@ void OfflineOptimalPolicy::Observe(const workload::Operation& op) {
 }
 
 ads::ReplState OfflineOptimalPolicy::StateOf(const Bytes& key) const {
-  const State* s = states_.Find(key);
+  const State* s = FindState(states_, key);
   return s == nullptr ? ads::ReplState::kNR : s->state;
 }
 
 std::string OfflineOptimalPolicy::CounterState(const Bytes& key) const {
-  const State* s = states_.Find(key);
+  const State* s = FindState(states_, key);
   if (s == nullptr) return "next_write=0/0";
   return "next_write=" + std::to_string(s->next_write) + "/" +
          std::to_string(s->decisions.size());

@@ -24,14 +24,13 @@
 #pragma once
 
 #include <deque>
-#include <map>
 #include <memory>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "ads/record.h"
 #include "chain/price.h"
-#include "shard/arena.h"
 #include "telemetry/sketch.h"
 #include "tier/tier.h"
 #include "workload/trace.h"
@@ -88,18 +87,6 @@ class ReplicationPolicy {
   /// decisions, so exported series and audit records need no side channel.
   virtual std::string Name() const = 0;
 
-  /// Binds the policy's per-key state to a shard layout: stateful policies
-  /// keep one arena bucket per shard instead of one monolithic map. Null (or
-  /// never calling this) keeps the legacy single-bucket layout. Re-binding
-  /// redistributes existing entries, so it is safe after precomputation
-  /// (OfflineOptimal fills its state in the constructor). Decisions are
-  /// per-key and unaffected by the layout.
-  virtual void BindShards(const shard::ShardMap* map) { (void)map; }
-
-  /// Entries per arena bucket (one per bound shard); empty for stateless
-  /// policies. Feeds the per-shard run summary.
-  virtual std::vector<size_t> ArenaSizes() const { return {}; }
-
   /// Deterministic "k=v,..." rendering of the per-key decision counters (the
   /// evidence behind StateOf). Empty for stateless policies. Audit records
   /// capture this before AND after the observation that flips a key.
@@ -125,19 +112,11 @@ class ReplicationPolicy {
   std::string audit_after_;
 };
 
-/// Map keyed by byte strings (ordered; policies are consulted per epoch).
+/// Per-key policy state: hashed, because the control plane consults a
+/// policy on every read and write. Policies look keys up one at a time and
+/// never let the table's iteration order reach a decision or an output.
 template <typename V>
-using KeyMap = std::map<Bytes, V>;
-
-/// Per-bucket entry counts of a policy arena (ArenaSizes boilerplate).
-template <typename V>
-std::vector<size_t> ArenaSizesOf(const shard::ShardedArena<V>& arena) {
-  std::vector<size_t> sizes(arena.BucketCount());
-  for (size_t s = 0; s < sizes.size(); ++s) {
-    sizes[s] = arena.BucketAt(s).size();
-  }
-  return sizes;
-}
+using KeyMap = std::unordered_map<Bytes, V, BytesHash, BytesEqual>;
 
 class MemorylessPolicy : public ReplicationPolicy {
  public:
@@ -149,10 +128,6 @@ class MemorylessPolicy : public ReplicationPolicy {
     return "memoryless(K=" + std::to_string(k_) + ")";
   }
   std::string CounterState(const Bytes& key) const override;
-  void BindShards(const shard::ShardMap* map) override { states_.Bind(map); }
-  std::vector<size_t> ArenaSizes() const override {
-    return ArenaSizesOf(states_);
-  }
 
  private:
   struct State {
@@ -160,7 +135,7 @@ class MemorylessPolicy : public ReplicationPolicy {
     ads::ReplState state = ads::ReplState::kNR;
   };
   uint64_t k_;
-  shard::ShardedArena<State> states_;
+  KeyMap<State> states_;
 };
 
 class MemorizingPolicy : public ReplicationPolicy {
@@ -171,10 +146,6 @@ class MemorizingPolicy : public ReplicationPolicy {
   ads::ReplState StateOf(const Bytes& key) const override;
   std::string Name() const override;
   std::string CounterState(const Bytes& key) const override;
-  void BindShards(const shard::ShardMap* map) override { states_.Bind(map); }
-  std::vector<size_t> ArenaSizes() const override {
-    return ArenaSizesOf(states_);
-  }
 
  private:
   struct State {
@@ -184,7 +155,7 @@ class MemorizingPolicy : public ReplicationPolicy {
   };
   double k_prime_;
   double d_;
-  shard::ShardedArena<State> states_;
+  KeyMap<State> states_;
 };
 
 /// Shared base for the two adaptive-K heuristics.
@@ -201,10 +172,6 @@ class AdaptiveKPolicy : public ReplicationPolicy {
   ads::ReplState StateOf(const Bytes& key) const override;
   std::string Name() const override;
   std::string CounterState(const Bytes& key) const override;
-  void BindShards(const shard::ShardMap* map) override { states_.Bind(map); }
-  std::vector<size_t> ArenaSizes() const override {
-    return ArenaSizesOf(states_);
-  }
 
  private:
   struct State {
@@ -215,7 +182,7 @@ class AdaptiveKPolicy : public ReplicationPolicy {
   double threshold_;
   size_t window_;
   bool repeat_hypothesis_;
-  shard::ShardedArena<State> states_;
+  KeyMap<State> states_;
 };
 
 class AdaptiveK1Policy : public AdaptiveKPolicy {
@@ -251,10 +218,6 @@ class WindowedKPolicy : public ReplicationPolicy {
   ads::ReplState StateOf(const Bytes& key) const override;
   std::string Name() const override;
   std::string CounterState(const Bytes& key) const override;
-  void BindShards(const shard::ShardMap* map) override { states_.Bind(map); }
-  std::vector<size_t> ArenaSizes() const override {
-    return ArenaSizesOf(states_);
-  }
 
   /// The threshold currently in force (K0 until the first observation).
   double CurrentK() const;
@@ -268,7 +231,7 @@ class WindowedKPolicy : public ReplicationPolicy {
   double base_k_;
   size_t window_;
   std::deque<double> recent_ratios_;  // storage_milli / exec_milli
-  shard::ShardedArena<State> states_;
+  KeyMap<State> states_;
 };
 
 /// Online re-estimating policy #2: the same memorizing structure, but the
@@ -289,10 +252,6 @@ class PriceEwmaPolicy : public ReplicationPolicy {
   ads::ReplState StateOf(const Bytes& key) const override;
   std::string Name() const override;
   std::string CounterState(const Bytes& key) const override;
-  void BindShards(const shard::ShardMap* map) override { states_.Bind(map); }
-  std::vector<size_t> ArenaSizes() const override {
-    return ArenaSizesOf(states_);
-  }
 
   double CurrentK() const;
   /// Drift events flagged by the underlying detector (regime-shift count).
@@ -307,7 +266,7 @@ class PriceEwmaPolicy : public ReplicationPolicy {
   double base_k_;
   double alpha_;
   telemetry::EwmaDriftDetector detector_;
-  shard::ShardedArena<State> states_;
+  KeyMap<State> states_;
 };
 
 /// Maps trace op index -> block number so the clairvoyant oracle can replay
@@ -350,10 +309,6 @@ class OfflineOptimalPolicy : public ReplicationPolicy {
     return priced_ ? "offline-optimal(priced)" : "offline-optimal";
   }
   std::string CounterState(const Bytes& key) const override;
-  void BindShards(const shard::ShardMap* map) override { states_.Bind(map); }
-  std::vector<size_t> ArenaSizes() const override {
-    return ArenaSizesOf(states_);
-  }
 
  private:
   struct State {
@@ -362,7 +317,7 @@ class OfflineOptimalPolicy : public ReplicationPolicy {
     ads::ReplState state = ads::ReplState::kNR;
   };
   bool priced_ = false;
-  shard::ShardedArena<State> states_;
+  KeyMap<State> states_;
 };
 
 class StaticPolicy : public ReplicationPolicy {

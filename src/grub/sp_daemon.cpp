@@ -231,9 +231,10 @@ size_t SpDaemon::PollAndServe() {
     const chain::Address callback_contract = r.U64();
     const std::string callback_function = ToString(r.Blob());
 
-    auto dedup_key = std::make_tuple(key, callback_contract, callback_function);
     if (dedup_batch_) {
-      if (auto it = index_of.find(dedup_key); it != index_of.end()) {
+      if (auto it = index_of.find(
+              std::make_tuple(key, callback_contract, callback_function));
+          it != index_of.end()) {
         entries[it->second].repeats += 1;
         continue;
       }
@@ -244,7 +245,8 @@ size_t SpDaemon::PollAndServe() {
     entry.callback_contract = callback_contract;
     entry.callback_function = callback_function;
 
-    const auto folded = sp_.EffectiveTier(key) == tier::StorageTier::kLog
+    const tier::StorageTier placement = sp_.EffectiveTier(key);
+    const auto folded = placement == tier::StorageTier::kLog
                             ? log_values_.find(key)
                             : log_values_.end();
     if (folded != log_values_.end()) {
@@ -259,8 +261,7 @@ size_t SpDaemon::PollAndServe() {
       if (proof.ok()) {
         entry.kind = DeliverEntry::Kind::kQuery;
         entry.query = std::move(proof).value();
-        entry.replicate_hint =
-            sp_.EffectiveState(key) == ads::ReplState::kR;
+        entry.replicate_hint = placement == tier::StorageTier::kStorage;
       } else {
         entry.kind = DeliverEntry::Kind::kAbsence;
         auto absence = sp_.ProveAbsent(key);
@@ -275,7 +276,11 @@ size_t SpDaemon::PollAndServe() {
       break;
     }
     batch_bytes += add;
-    if (dedup_batch_) index_of.emplace(std::move(dedup_key), entries.size());
+    if (dedup_batch_) {
+      index_of.emplace(
+          std::make_tuple(key, callback_contract, callback_function),
+          entries.size());
+    }
     entries.push_back(std::move(entry));
   }
   if (prove_seconds_ != nullptr && !events.empty()) {

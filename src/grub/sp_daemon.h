@@ -16,8 +16,8 @@
 // the cursor back so the next poll rebuilds fresh proofs.
 #pragma once
 
-#include <map>
 #include <optional>
+#include <unordered_map>
 
 #include "shard/forest.h"
 #include "chain/blockchain.h"
@@ -153,7 +153,7 @@ class SpDaemon {
   uint64_t log_fold_cursor_ = 0;  // next log index the value fold inspects
   /// Live log-tier values reconstructed from `grub_data` receipts (erased on
   /// `grub_unpin`). THE storage log-tier reads are served from.
-  std::map<Bytes, Bytes> log_values_;
+  std::unordered_map<Bytes, Bytes, BytesHash, BytesEqual> log_values_;
   uint64_t digest_entries_served_ = 0;
   uint64_t delivers_sent_ = 0;
   uint64_t deliver_retries_ = 0;
@@ -173,7 +173,8 @@ class SpDaemon {
   /// Adversary ammunition, maintained only while an adversary is armed: the
   /// first proof ever served per key (goes stale once the root moves) and
   /// the last accepted deliver calldata (for replay).
-  std::map<Bytes, ads::QueryProof> stale_proofs_;
+  std::unordered_map<Bytes, ads::QueryProof, BytesHash, BytesEqual>
+      stale_proofs_;
   Bytes last_good_calldata_;
 
   // Cached instruments (null = telemetry off).

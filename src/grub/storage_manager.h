@@ -137,6 +137,10 @@ class StorageManagerContract : public chain::Contract {
   /// Storage slot of `key`'s log-tier digest pin. Exposed for tests.
   static Word DigestSlot(ByteSpan key);
 
+  /// Storage slot of `key`'s replica length tag (value size + 1; zero = no
+  /// live replica). Exposed for tests.
+  static Word LenSlot(ByteSpan key);
+
   /// Streams gGet replica hit/miss outcomes into the workload observatory.
   /// Observation-only — recorded after the Gas-metered serve/emit decision,
   /// so chain Gas is untouched. Null (the default) skips recording.
@@ -163,7 +167,6 @@ class StorageManagerContract : public chain::Contract {
                         ByteSpan value, bool found);
 
   static Word RootSlot();
-  static Word LenSlot(ByteSpan key);
   static Word ValueBase(ByteSpan key);
   static Word CounterSlot(ByteSpan key);
   static Word PendingSlot(ByteSpan key, chain::Address callback_contract,

@@ -133,6 +133,10 @@ class ShardedAdsDo {
   Hash256 ShardRoot(size_t s) const { return dos_[s].Root(); }
   Hash256 RootOfRoots() const;
   size_t RecordCount() const;
+  /// Shard `s`'s keys, sorted (AdsDo::Keys).
+  const std::vector<Bytes>& ShardKeys(size_t s) const {
+    return dos_[s].Keys();
+  }
 
   /// Signs the root-of-roots for `epoch` (the forest's epoch digest).
   Signature SignRoot(uint64_t epoch) const {

@@ -192,16 +192,6 @@ class Tracer {
   uint64_t seq_ = 0;
   uint64_t unmatched_callbacks_ = 0;
 
-  /// FNV-1a over the key bytes — the request-matching map sits on the
-  /// per-read path, so hashed lookup beats ordered Bytes comparisons.
-  struct KeyHash {
-    size_t operator()(const Bytes& key) const {
-      size_t h = 14695981039346656037ULL;
-      for (uint8_t b : key) h = (h ^ b) * 1099511628211ULL;
-      return h;
-    }
-  };
-
   /// Per-key matching state, fused so the hot path (open at issue, close at
   /// callback) costs one hash lookup per side.
   struct KeyState {
@@ -221,7 +211,8 @@ class Tracer {
     return entry.second;
   }
 
-  std::unordered_map<Bytes, KeyState, KeyHash> gets_;
+  /// Hashed: the request-matching map sits on the per-read path.
+  std::unordered_map<Bytes, KeyState, BytesHash, BytesEqual> gets_;
   const Bytes* memo_key_ = nullptr;  // points into gets_ (node-stable)
   KeyState* memo_state_ = nullptr;
   std::deque<uint64_t> open_scans_;

@@ -2,14 +2,19 @@
 //  * determinism: identical traces yield identical Gas, roots, and data;
 //  * delivery totality: every read is answered (value or proven absence);
 //  * adaptivity: converged GRuB never loses to BOTH static baselines;
-//  * state agreement: DO and SP roots never diverge at epoch boundaries.
+//  * state agreement: DO and SP roots never diverge at epoch boundaries;
+//  * replica tracking: the DO's record of live replicas and log-tier pins
+//    equals what contract storage holds.
 #include <gtest/gtest.h>
 
 #include <deque>
+#include <functional>
 #include <map>
+#include <set>
 
 #include "common/rng.h"
 #include "grub/system.h"
+#include "tier/tier.h"
 #include "workload/trace.h"
 
 namespace grub::core {
@@ -153,6 +158,87 @@ TEST_P(SystemPropertyTest, DoAndSpRootsAgreeAtEveryEpoch) {
     system.Drive(slice);
     EXPECT_EQ(system.Do().Root(), system.Sp().Root()) << "slice " << start;
   }
+}
+
+// The keys among MakeKey(0..keys) whose slot (per `slot_of`) is non-zero in
+// the feed's contract storage.
+std::set<Bytes> KeysWithLiveSlot(GrubSystem& system, size_t keys,
+                                 Word (*slot_of)(ByteSpan)) {
+  const chain::ContractStorage& storage =
+      system.Chain().StorageOf(system.ManagerAddress());
+  std::set<Bytes> live;
+  for (uint64_t i = 0; i < keys; ++i) {
+    const Bytes key = MakeKey(i);
+    if (!storage.Load(slot_of(key)).IsZero()) live.insert(key);
+  }
+  return live;
+}
+
+std::set<Bytes> Sorted(const DoClient::KeySet& keys) {
+  return {keys.begin(), keys.end()};
+}
+
+TEST_P(SystemPropertyTest, TrackedReplicasEqualLiveLengthSlots) {
+  constexpr size_t kKeys = 96;
+  const auto trace = RandomTrace(GetParam() + 500, 600, kKeys);
+  const std::vector<std::function<std::unique_ptr<ReplicationPolicy>()>>
+      policies = {
+          [] { return std::make_unique<MemorylessPolicy>(2); },
+          [] { return std::make_unique<MemorizingPolicy>(2, 1); },
+          [] { return std::make_unique<AdaptiveK1Policy>(2); },
+          [] { return MakeBL2(); },
+      };
+  for (size_t p = 0; p < policies.size(); ++p) {
+    for (size_t shards : {1, 4}) {
+      SystemOptions options;
+      options.shards = shards;
+      if (shards > 1) {
+        options.shard_boundaries = IndexedKeyBoundaries(kKeys, shards);
+      }
+      GrubSystem system(options, policies[p]());
+      system.Preload(Preload(kKeys));
+      system.Drive(trace);
+      EXPECT_EQ(Sorted(system.Do().OnChainReplicas()),
+                KeysWithLiveSlot(system, kKeys,
+                                 &StorageManagerContract::LenSlot))
+          << "policy " << system.Do().Policy().Name() << " shards " << shards;
+    }
+  }
+}
+
+// Places a key on the log tier after an odd number of writes and off chain
+// after an even number, so one run both pins and unpins.
+class AlternatingLogPolicy : public ReplicationPolicy {
+ public:
+  void Observe(const Operation& op) override {
+    if (op.type == workload::OpType::kWrite) writes_[op.key] += 1;
+  }
+  ads::ReplState StateOf(const Bytes&) const override {
+    return ads::ReplState::kNR;
+  }
+  tier::StorageTier TierOf(const Bytes& key) const override {
+    auto it = writes_.find(key);
+    return it != writes_.end() && it->second % 2 == 1
+               ? tier::StorageTier::kLog
+               : tier::StorageTier::kOffchain;
+  }
+  std::string Name() const override { return "alternating-log"; }
+
+ private:
+  std::map<Bytes, uint64_t> writes_;
+};
+
+TEST_P(SystemPropertyTest, TrackedLogPinsEqualLiveDigestPins) {
+  constexpr size_t kKeys = 96;
+  const auto trace = RandomTrace(GetParam() + 600, 600, kKeys);
+  GrubSystem system(SystemOptions{}, std::make_unique<AlternatingLogPolicy>());
+  system.Preload(Preload(kKeys));
+  system.Drive(trace);
+  EXPECT_GT(system.Do().log_pins(), 0u);
+  EXPECT_GT(system.Do().log_unpins(), 0u);
+  EXPECT_EQ(Sorted(system.Do().LogPinsOnChain()),
+            KeysWithLiveSlot(system, kKeys,
+                             &StorageManagerContract::DigestSlot));
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SystemPropertyTest,
