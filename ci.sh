@@ -21,7 +21,11 @@ run_pass() {
   ctest --test-dir "${build_dir}" --output-on-failure -j "${JOBS}"
 }
 
-run_pass build
+# A new compiler warning fails the default pass. The two classes exempted
+# are reported inside libstdc++ code inlined into repo functions; ROADMAP
+# item 4 ("Look hard at length handling") tracks them.
+run_pass build \
+  -DCMAKE_CXX_FLAGS="-Werror -Wno-error=stringop-overread -Wno-error=restrict"
 
 # UB is fatal: any sanitizer report fails the run instead of scrolling past.
 run_pass build-asan \

@@ -98,14 +98,6 @@ class AdsSp {
   /// is pending, else the record's authenticated state projected to a tier.
   tier::StorageTier EffectiveTier(ByteSpan key) const;
 
-  /// Binary wrappers over the tier advisory (legacy call sites).
-  void SetAdvisoryState(ByteSpan key, ReplState state) {
-    SetAdvisoryTier(key, tier::FromReplState(state));
-  }
-  ReplState EffectiveState(ByteSpan key) const {
-    return tier::ToReplState(EffectiveTier(key));
-  }
-
   // --- adversarial mutators for security tests ---
   /// Forges the stored value without touching the tree (proofs will not
   /// verify — forge detection). Batches never re-hash untouched records,

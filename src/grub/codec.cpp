@@ -153,42 +153,4 @@ uint64_t EncodedRecordBytes(const ads::FeedRecord& record) {
   return 8 + 1 + 4 + record.key.size() + 4 + record.value.size();
 }
 
-void AppendReplicationSuffix(chain::AbiWriter& w,
-                             const std::vector<ads::FeedRecord>& replicated,
-                             const std::vector<Bytes>& evictions) {
-  w.U64(replicated.size());
-  for (const auto& record : replicated) w.Blob(record.Serialize());
-  w.U64(evictions.size());
-  for (const auto& key : evictions) w.Blob(key);
-}
-
-uint64_t ReplicationSuffixBytes(const std::vector<ads::FeedRecord>& replicated,
-                                const std::vector<Bytes>& evictions) {
-  uint64_t bytes = 8 + 8;  // the two counts
-  for (const auto& record : replicated) bytes += EncodedRecordBytes(record);
-  for (const auto& key : evictions) bytes += 8 + key.size();
-  return bytes;
-}
-
-void AppendTierSuffix(chain::AbiWriter& w, const TierSuffix& suffix) {
-  if (suffix.empty()) return;  // legacy layout: nothing appended
-  w.U64(suffix.entries.size());
-  for (const auto& entry : suffix.entries) {
-    w.U64(static_cast<uint64_t>(entry.tier));
-    w.Blob(entry.record.Serialize());
-  }
-  w.U64(suffix.unpins.size());
-  for (const auto& key : suffix.unpins) w.Blob(key);
-}
-
-uint64_t TierSuffixBytes(const TierSuffix& suffix) {
-  if (suffix.empty()) return 0;
-  uint64_t bytes = 8 + 8;  // the two counts
-  for (const auto& entry : suffix.entries) {
-    bytes += 8 + EncodedRecordBytes(entry.record);
-  }
-  for (const auto& key : suffix.unpins) bytes += 8 + key.size();
-  return bytes;
-}
-
 }  // namespace grub::core

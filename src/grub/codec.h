@@ -61,8 +61,8 @@ Result<ads::ScanProof> DecodeScanProof(chain::AbiReader& r);
 void EncodeDeliverEntry(chain::AbiWriter& w, const DeliverEntry& entry);
 Result<DeliverEntry> DecodeDeliverEntry(chain::AbiReader& r);
 
-// ---- update-calldata suffix helpers (shared by DoClient's encoders and
-// the contract's size accounting, unit-tested in tests/grub/codec_test) ----
+// ---- update-calldata parts (StorageManagerContract::EncodeUpdate writes
+// them, and its Update*Bytes functions size them) ----
 
 /// One log/calldata-tier update entry: the record rides the update tx under
 /// an explicit tier tag (kStorage entries ride the replication suffix
@@ -86,20 +86,5 @@ struct TierSuffix {
 /// the u64 blob length plus the record encoding. THE shared size unit —
 /// every update-path size estimate routes through it.
 uint64_t EncodedRecordBytes(const ads::FeedRecord& record);
-
-/// Appends the legacy replication suffix (replicated records + evicted
-/// keys) that every update tx carries.
-void AppendReplicationSuffix(chain::AbiWriter& w,
-                             const std::vector<ads::FeedRecord>& replicated,
-                             const std::vector<Bytes>& evictions);
-/// Calldata bytes AppendReplicationSuffix will produce — exact, asserted
-/// against the real encoding in unit tests.
-uint64_t ReplicationSuffixBytes(const std::vector<ads::FeedRecord>& replicated,
-                                const std::vector<Bytes>& evictions);
-
-/// Appends the tier suffix; appends nothing when `suffix.empty()`.
-void AppendTierSuffix(chain::AbiWriter& w, const TierSuffix& suffix);
-/// Calldata bytes AppendTierSuffix will produce (0 when empty) — exact.
-uint64_t TierSuffixBytes(const TierSuffix& suffix);
 
 }  // namespace grub::core

@@ -141,23 +141,18 @@ void DoClient::Preload(const std::vector<std::pair<Bytes, Bytes>>& records) {
   ads_do_.BulkLoad(sp_, feed_records);
   const std::vector<uint32_t> touched_shards = ads_do_.TakeTouchedShards();
   last_epoch_touched_shards_ = touched_shards.size();
-  if (sp_.ShardCount() == 1) {
-    SubmitUpdate(StorageManagerContract::EncodeUpdate(ads_do_.RootOfRoots(),
-                                                      epoch_, {}, {}),
-                 telemetry::GasCause::kUpdateRoot);
-  } else {
-    // One genesis update carrying every populated shard root: the contract
-    // verifies the rollup against unset (zero == empty-tree) slots plus
-    // these, then stores them all.
-    std::vector<std::pair<uint64_t, Hash256>> roots;
-    roots.reserve(touched_shards.size());
-    for (uint32_t s : touched_shards) {
-      roots.emplace_back(s, ads_do_.ShardRoot(s));
-    }
-    SubmitUpdate(StorageManagerContract::EncodeUpdateSharded(
-                     ads_do_.RootOfRoots(), epoch_, roots, {}, {}),
-                 telemetry::GasCause::kUpdateRoot);
+  // One genesis update. Above one shard it carries every populated shard
+  // root: the contract verifies the rollup against unset (zero ==
+  // empty-tree) slots plus these, then stores them all.
+  std::vector<std::pair<uint64_t, Hash256>> roots;
+  roots.reserve(touched_shards.size());
+  for (uint32_t s : touched_shards) {
+    roots.emplace_back(s, ads_do_.ShardRoot(s));
   }
+  SubmitUpdate(StorageManagerContract::EncodeUpdate(
+                   sp_.ShardCount(), ads_do_.RootOfRoots(), epoch_, roots, {},
+                   {}),
+               telemetry::GasCause::kUpdateRoot);
   epoch_ += 1;
   // Skip monitor processing of history up to now (preload is not workload).
   call_history_cursor_ = chain_.CallHistory().size();
@@ -303,15 +298,9 @@ chain::Receipt DoClient::EndEpoch() {
   }
   std::vector<uint32_t> tree_touched = ads_do_.TakeTouchedShards();
   last_epoch_touched_shards_ = tree_touched.size();
-  chain::Receipt receipt;
-  if (shard_count == 1) {
-    receipt = SubmitUpdateChunked(ads_do_.RootOfRoots(), {}, /*sharded=*/false,
-                                  replicated_updates, evictions, tiered,
-                                  /*gas_shard=*/0);
-  } else {
-    receipt = SubmitShardedEpochUpdates(std::move(pre_roots), tree_touched,
-                                        replicated_updates, evictions, tiered);
-  }
+  chain::Receipt receipt = SubmitEpochUpdates(
+      std::move(pre_roots), tree_touched, std::move(replicated_updates),
+      std::move(evictions), std::move(tiered));
   if (tracer_ != nullptr) {
     tracer_->EndSpan(epoch_span_, chain_.CurrentBlockNumber(),
                      receipt.ok() || chain::IsDelayedReceipt(receipt));
@@ -321,46 +310,50 @@ chain::Receipt DoClient::EndEpoch() {
   return receipt;
 }
 
-chain::Receipt DoClient::SubmitShardedEpochUpdates(
+chain::Receipt DoClient::SubmitEpochUpdates(
     std::vector<Hash256> pre_roots, const std::vector<uint32_t>& tree_touched,
-    const std::vector<ads::FeedRecord>& replicated,
-    const std::vector<Bytes>& evictions, const TierSuffix& tiered) {
+    std::vector<ads::FeedRecord> replicated, std::vector<Bytes> evictions,
+    TierSuffix tiered) {
   const size_t shard_count = sp_.ShardCount();
   // Partition the replica/eviction/tier suffixes by shard (arrival order is
-  // preserved within each shard, matching the legacy single-tx ordering).
+  // preserved within each shard, matching the single-tx ordering).
   std::vector<std::vector<ads::FeedRecord>> rep_by_shard(shard_count);
-  for (const auto& record : replicated) {
-    rep_by_shard[sp_.Map().ShardOf(record.key)].push_back(record);
+  for (auto& record : replicated) {
+    rep_by_shard[sp_.Map().ShardOf(record.key)].push_back(std::move(record));
   }
   std::vector<std::vector<Bytes>> evict_by_shard(shard_count);
-  for (const auto& key : evictions) {
-    evict_by_shard[sp_.Map().ShardOf(key)].push_back(key);
+  for (auto& key : evictions) {
+    evict_by_shard[sp_.Map().ShardOf(key)].push_back(std::move(key));
   }
   std::vector<TierSuffix> tier_by_shard(shard_count);
-  for (const auto& entry : tiered.entries) {
-    tier_by_shard[sp_.Map().ShardOf(entry.record.key)].entries.push_back(entry);
+  for (auto& entry : tiered.entries) {
+    tier_by_shard[sp_.Map().ShardOf(entry.record.key)].entries.push_back(
+        std::move(entry));
   }
-  for (const auto& key : tiered.unpins) {
-    tier_by_shard[sp_.Map().ShardOf(key)].unpins.push_back(key);
+  for (auto& key : tiered.unpins) {
+    tier_by_shard[sp_.Map().ShardOf(key)].unpins.push_back(std::move(key));
   }
 
   // A shard is involved if its tree changed or it carries replica traffic.
+  // A one-shard deployment's shard is involved in every epoch: its update
+  // is the epoch's update, digest-only or not.
   std::vector<bool> has_root(shard_count, false);
   for (uint32_t s : tree_touched) has_root[s] = true;
   std::vector<uint32_t> involved;
   for (uint32_t s = 0; s < shard_count; ++s) {
-    if (has_root[s] || !rep_by_shard[s].empty() ||
+    if (shard_count == 1 || has_root[s] || !rep_by_shard[s].empty() ||
         !evict_by_shard[s].empty() || !tier_by_shard[s].empty()) {
       involved.push_back(s);
     }
   }
 
   if (involved.empty()) {
-    // Nothing changed anywhere; publish the (unchanged) digest alone so the
-    // epoch boundary is still visible on chain — the legacy behavior.
-    return SubmitUpdate(StorageManagerContract::EncodeUpdateSharded(
-                            ads_do_.RootOfRoots(), epoch_, {}, {}, {}),
-                        telemetry::GasCause::kUpdateRoot, epoch_span_);
+    // Nothing changed in any shard; publish the (unchanged) digest alone so
+    // the epoch boundary is still visible on chain.
+    return SubmitUpdate(
+        StorageManagerContract::EncodeUpdate(
+            shard_count, ads_do_.RootOfRoots(), epoch_, {}, {}, {}),
+        telemetry::GasCause::kUpdateRoot, epoch_span_);
   }
 
   // One update() per involved shard, each carrying the INCREMENTAL
@@ -378,26 +371,14 @@ chain::Receipt DoClient::SubmitShardedEpochUpdates(
       roots.emplace_back(s, chain_roots[s]);
     }
     const Hash256 digest = shard::ComputeRootOfRoots(chain_roots);
-    receipt = SubmitUpdateChunked(digest, roots, /*sharded=*/true,
-                                  rep_by_shard[s], evict_by_shard[s],
-                                  tier_by_shard[s], /*gas_shard=*/s);
-  }
-  return receipt;
-}
-
-chain::Receipt DoClient::SubmitUpdateChunked(
-    const Hash256& digest,
-    const std::vector<std::pair<uint64_t, Hash256>>& shard_roots, bool sharded,
-    const std::vector<ads::FeedRecord>& replicated,
-    const std::vector<Bytes>& evictions, const TierSuffix& tiered,
-    uint32_t gas_shard) {
-  chain::Receipt receipt;
-  for (Bytes& calldata : EncodeUpdateChunks(digest, shard_roots, sharded,
-                                            replicated, evictions, tiered)) {
-    receipt = SubmitUpdate(std::move(calldata), telemetry::GasCause::kUpdateRoot,
-                           epoch_span_);
-    if (receipt.ok() || chain::IsDelayedReceipt(receipt)) {
-      per_shard_update_gas_[gas_shard] += receipt.gas_used;
+    for (Bytes& calldata :
+         EncodeUpdateChunks(digest, roots, rep_by_shard[s], evict_by_shard[s],
+                            tier_by_shard[s])) {
+      receipt = SubmitUpdate(std::move(calldata),
+                             telemetry::GasCause::kUpdateRoot, epoch_span_);
+      if (receipt.ok() || chain::IsDelayedReceipt(receipt)) {
+        per_shard_update_gas_[s] += receipt.gas_used;
+      }
     }
   }
   return receipt;
@@ -405,12 +386,14 @@ chain::Receipt DoClient::SubmitUpdateChunked(
 
 std::vector<Bytes> DoClient::EncodeUpdateChunks(
     const Hash256& digest,
-    const std::vector<std::pair<uint64_t, Hash256>>& shard_roots, bool sharded,
+    const std::vector<std::pair<uint64_t, Hash256>>& shard_roots,
     const std::vector<ads::FeedRecord>& replicated,
     const std::vector<Bytes>& evictions, const TierSuffix& tiered) const {
-  // Greedy packing against the Ctx(X) validity bound. Sizes are the exact
-  // codec arithmetic (EncodedRecordBytes & co., unit-tested against the real
-  // encodings), accumulated incrementally so chunking stays O(items).
+  // Greedy packing against the Ctx(X) validity bound. Sizes are the update
+  // layout's own size functions (StorageManagerContract::Update*Bytes,
+  // checked against EncodeUpdate in codec_test), accumulated incrementally
+  // so chunking stays O(items).
+  using Contract = StorageManagerContract;
   struct Chunk {
     std::vector<ads::FeedRecord> replicated;
     std::vector<Bytes> evictions;
@@ -419,25 +402,22 @@ std::vector<Bytes> DoClient::EncodeUpdateChunks(
       return replicated.empty() && evictions.empty() && tiered.empty();
     }
   };
+  const size_t shard_count = sp_.ShardCount();
   const uint64_t limit = chain::GasSchedule::kMaxCalldataBytes;
-  const auto base_bytes = [&](bool first) -> uint64_t {
-    uint64_t bytes = 32 + 8 + 8 + 8;  // digest, epoch, replication counts
-    if (sharded) bytes += 8 + (first ? 40 * shard_roots.size() : 0);
-    return bytes;
-  };
   std::vector<Chunk> chunks(1);
-  uint64_t used = base_bytes(true);
+  uint64_t used = Contract::UpdateBaseBytes(shard_count, shard_roots.size());
   bool tier_counted = false;  // the tier suffix's two count words, once
   // Flushes when `item_bytes` more would cross the bound. A single item too
   // large for an empty chunk is unsplittable: it ships alone, and TxCost
   // aborts loudly instead of pricing an invalid formula.
   const auto make_room = [&](uint64_t item_bytes, bool tier_item) {
-    uint64_t need = item_bytes + (tier_item && !tier_counted ? 8 + 8 : 0);
+    uint64_t need = item_bytes;
+    if (tier_item && !tier_counted) need += Contract::kUpdateTierCountBytes;
     if (used + need >= limit && !chunks.back().empty()) {
       chunks.emplace_back();
-      used = base_bytes(false);
+      used = Contract::UpdateBaseBytes(shard_count, 0);
       tier_counted = false;
-      need = item_bytes + (tier_item ? 8 + 8 : 0);
+      need = item_bytes + (tier_item ? Contract::kUpdateTierCountBytes : 0);
     }
     used += need;
     if (tier_item) tier_counted = true;
@@ -447,30 +427,26 @@ std::vector<Bytes> DoClient::EncodeUpdateChunks(
     chunks.back().replicated.push_back(record);
   }
   for (const auto& key : evictions) {
-    make_room(8 + key.size(), /*tier_item=*/false);
+    make_room(Contract::UpdateKeyBytes(key), /*tier_item=*/false);
     chunks.back().evictions.push_back(key);
   }
   for (const auto& entry : tiered.entries) {
-    make_room(8 + EncodedRecordBytes(entry.record), /*tier_item=*/true);
+    make_room(Contract::UpdateTierEntryBytes(entry), /*tier_item=*/true);
     chunks.back().tiered.entries.push_back(entry);
   }
   for (const auto& key : tiered.unpins) {
-    make_room(8 + key.size(), /*tier_item=*/true);
+    make_room(Contract::UpdateKeyBytes(key), /*tier_item=*/true);
     chunks.back().tiered.unpins.push_back(key);
   }
 
   std::vector<Bytes> payloads;
   payloads.reserve(chunks.size());
+  const std::vector<std::pair<uint64_t, Hash256>> no_roots;
   for (size_t c = 0; c < chunks.size(); ++c) {
     const Chunk& chunk = chunks[c];
-    const std::vector<std::pair<uint64_t, Hash256>> no_roots;
-    payloads.push_back(
-        sharded ? StorageManagerContract::EncodeUpdateSharded(
-                      digest, epoch_, c == 0 ? shard_roots : no_roots,
-                      chunk.replicated, chunk.evictions, chunk.tiered)
-                : StorageManagerContract::EncodeUpdate(
-                      digest, epoch_, chunk.replicated, chunk.evictions,
-                      chunk.tiered));
+    payloads.push_back(Contract::EncodeUpdate(
+        shard_count, digest, epoch_, c == 0 ? shard_roots : no_roots,
+        chunk.replicated, chunk.evictions, chunk.tiered));
   }
   return payloads;
 }
@@ -492,8 +468,7 @@ chain::Receipt DoClient::SubmitUpdate(Bytes calldata,
   // digest was signed once; a retry is the same update, not a new epoch.
   chain::Receipt receipt;
   receipt.status = Status::Unavailable(chain::kDroppedTxMessage);
-  for (uint64_t attempt = 1; attempt <= options_.max_update_attempts;
-       ++attempt) {
+  for (uint64_t attempt = 1; attempt <= kMaxUpdateAttempts; ++attempt) {
     if (attempt > 1) {
       update_retries_ += 1;
       if (update_retries_counter_ != nullptr) {
@@ -504,7 +479,7 @@ chain::Receipt DoClient::SubmitUpdate(Bytes calldata,
                           chain_.CurrentBlockNumber(),
                           "attempt=" + std::to_string(attempt));
       }
-      chain_.AdvanceTime(options_.retry_backoff_sec << (attempt - 2));
+      chain_.AdvanceTime(kRetryBackoffSec << (attempt - 2));
     }
     if (GRUB_FAULT_POINT(faults_, "do.update.drop")) {
       if (tracer_ != nullptr && trace_span != 0) {
@@ -534,7 +509,7 @@ void DoClient::CheckReadLiveness() {
   const uint64_t head = chain_.CurrentBlockNumber();
   std::vector<PendingRequest> stale;
   for (const auto& [log_index, req] : pending) {
-    if (req.block_number + options_.watchdog_timeout_blocks <= head) {
+    if (req.block_number + kWatchdogTimeoutBlocks <= head) {
       stale.push_back(req);
     }
   }
@@ -547,7 +522,7 @@ void DoClient::CheckReadLiveness() {
   }
 
   stale_rounds_ += 1;
-  if (!degraded_ && stale_rounds_ >= options_.degrade_after_rounds) {
+  if (!degraded_ && stale_rounds_ >= kDegradeAfterRounds) {
     Degrade(stale);
   }
 
@@ -622,9 +597,8 @@ void DoClient::Degrade(const std::vector<PendingRequest>& stale) {
   // one unchunked transaction. Recovery Gas stays out of the per-shard
   // epoch-update totals.
   bool landed = false;
-  for (Bytes& calldata : EncodeUpdateChunks(ads_do_.RootOfRoots(), {},
-                                            sp_.ShardCount() > 1, forced, {},
-                                            {})) {
+  for (Bytes& calldata :
+       EncodeUpdateChunks(ads_do_.RootOfRoots(), {}, forced, {}, {})) {
     const chain::Receipt receipt =
         SubmitUpdate(std::move(calldata), telemetry::GasCause::kRecovery);
     landed |= receipt.ok() || chain::IsDelayedReceipt(receipt);

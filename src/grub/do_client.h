@@ -10,12 +10,18 @@
 //     before this epoch's write batch — then writes) to the pluggable
 //     ReplicationPolicy.
 //  3. ACTUATES: flips record state bits through verified ADS updates on the
-//     SP (changing the root), and sends ONE update() transaction carrying
-//     the new signed digest, full values for records whose on-chain replica
+//     SP (changing the root), and sends the epoch's update() carrying the
+//     new signed digest, full values for records whose on-chain replica
 //     must stay fresh, and evictions for R->NR transitions. NR->R
 //     materialization is lazy: the next read's deliver inserts the replica
 //     (charged then), so replicas that are never read again cost nothing
 //     on-chain.
+//
+// The update path is the same at every shard count: one update() per
+// involved shard (at one shard, the one shard every epoch), each split only
+// where the Ctx(X) calldata bound requires. The shard-root section appears
+// in the calldata only with more than one shard, so a single-tree
+// deployment sends the paper's update() byte for byte.
 #pragma once
 
 #include <array>
@@ -41,20 +47,21 @@ class DoClient {
   struct Options {
     chain::Address do_account = chain::kNullAddress;
     chain::Address storage_manager = chain::kNullAddress;
-    /// A pending read older than this many blocks is stale: the liveness
-    /// watchdog re-emits it (the SP never answered — its deliver was lost,
-    /// or the daemon is down).
-    uint64_t watchdog_timeout_blocks = 2;
-    /// Consecutive liveness rounds with stale reads before the DO degrades:
-    /// it force-replicates the starved keys on chain (falling back toward
-    /// BL2) so reads keep being served without the SP.
-    uint64_t degrade_after_rounds = 2;
-    /// Bounded resubmission for a lost update() transaction; each retry
-    /// carries the identical calldata (same epoch digest).
-    uint64_t max_update_attempts = 3;
-    /// Base of the deterministic exponential retry backoff.
-    chain::TimeSec retry_backoff_sec = 2;
   };
+
+  /// A pending read older than this many blocks is stale: the liveness
+  /// watchdog re-emits it (the SP never answered — its deliver was lost,
+  /// or the daemon is down).
+  static constexpr uint64_t kWatchdogTimeoutBlocks = 2;
+  /// Consecutive liveness rounds with stale reads before the DO degrades:
+  /// it force-replicates the starved keys on chain (falling back toward
+  /// BL2) so reads keep being served without the SP.
+  static constexpr uint64_t kDegradeAfterRounds = 2;
+  /// Bounded resubmission for a lost update() transaction; each retry
+  /// carries the identical calldata (same epoch digest).
+  static constexpr uint64_t kMaxUpdateAttempts = 3;
+  /// Base of the deterministic exponential retry backoff.
+  static constexpr chain::TimeSec kRetryBackoffSec = 2;
 
   /// Hashed key set for the per-key sets consulted on every epoch close.
   using KeySet = std::unordered_set<Bytes, BytesHash, BytesEqual>;
@@ -118,18 +125,18 @@ class DoClient {
   /// preload). Feeds the telemetry epoch column and the scaling benches.
   size_t LastEpochTouchedShards() const { return last_epoch_touched_shards_; }
 
-  /// Cumulative Gas of the update() transactions attributed to each shard
-  /// (indexed by shard; single-shard deployments use index 0). Sharded
-  /// epochs send one update per involved shard, so receipts meter this
-  /// exactly.
+  /// Cumulative Gas of the epoch update() transactions attributed to each
+  /// shard (indexed by shard). Every epoch sends one update per involved
+  /// shard, so receipts meter this exactly; at one shard every epoch's
+  /// update, digest-only or not, is shard 0's.
   const std::vector<uint64_t>& PerShardUpdateGas() const {
     return per_shard_update_gas_;
   }
 
   /// Read-liveness watchdog: scans the chain for requests that have been
-  /// pending longer than `watchdog_timeout_blocks` and re-emits them
+  /// pending longer than kWatchdogTimeoutBlocks and re-emits them
   /// (fresh gGet/gScan transactions from the DO's account, so the consumer
-  /// callback still fires). After `degrade_after_rounds` consecutive stale
+  /// callback still fires). After kDegradeAfterRounds consecutive stale
   /// rounds the DO degrades: starved point-read keys are force-replicated on
   /// chain with the current epoch digest — reads fall back toward BL2 and
   /// keep being served without the SP. When the backlog clears, the DO
@@ -187,35 +194,28 @@ class DoClient {
   /// with the counter evidence the policy captured around the flip.
   void RecordFlipAudit(const Bytes& key, ads::ReplState before,
                        ads::ReplState after, const char* op);
-  /// Sends the epoch's sharded update transactions: one update() per shard
-  /// with tree changes or replica/eviction traffic, each carrying the
-  /// incremental root-of-roots after that shard's root lands. `pre_roots`
-  /// are the shard roots before this epoch's batches were applied (== what
-  /// the contract currently stores). Returns the last receipt.
-  chain::Receipt SubmitShardedEpochUpdates(
-      std::vector<Hash256> pre_roots,
-      const std::vector<uint32_t>& tree_touched,
-      const std::vector<ads::FeedRecord>& replicated,
-      const std::vector<Bytes>& evictions, const TierSuffix& tiered);
-  /// Sends one logical epoch update as EncodeUpdateChunks' transactions,
-  /// accumulating their Gas into per_shard_update_gas_[gas_shard]. Returns
-  /// the last receipt.
-  chain::Receipt SubmitUpdateChunked(
-      const Hash256& digest,
-      const std::vector<std::pair<uint64_t, Hash256>>& shard_roots,
-      bool sharded, const std::vector<ads::FeedRecord>& replicated,
-      const std::vector<Bytes>& evictions, const TierSuffix& tiered,
-      uint32_t gas_shard);
+  /// Sends the epoch's update transactions: one update() per involved
+  /// shard (one with tree changes or replica/eviction/tier traffic, and at
+  /// one shard the one shard always), each carrying the incremental
+  /// root-of-roots after that shard's root lands, its Gas accumulated into
+  /// per_shard_update_gas_. `pre_roots` are the shard roots before this
+  /// epoch's batches were applied (== what the contract currently stores).
+  /// Returns the last receipt.
+  chain::Receipt SubmitEpochUpdates(std::vector<Hash256> pre_roots,
+                                    const std::vector<uint32_t>& tree_touched,
+                                    std::vector<ads::FeedRecord> replicated,
+                                    std::vector<Bytes> evictions,
+                                    TierSuffix tiered);
   /// Splits one logical update into as many update() payloads as the
   /// Ctx(X) calldata validity bound requires (X < 1000 words — see
-  /// GasSchedule::kMaxCalldataBytes). Every chunk carries the same digest
-  /// and epoch (re-storing the root is idempotent); only the first carries
-  /// the shard roots. The common small update stays one payload,
-  /// byte-identical to the unchunked encoding.
+  /// GasSchedule::kMaxCalldataBytes), in the deployment's layout. Every
+  /// chunk carries the same digest and epoch (re-storing the root is
+  /// idempotent); only the first carries the shard roots. The common small
+  /// update stays one payload, byte-identical to the unchunked encoding.
   std::vector<Bytes> EncodeUpdateChunks(
       const Hash256& digest,
       const std::vector<std::pair<uint64_t, Hash256>>& shard_roots,
-      bool sharded, const std::vector<ads::FeedRecord>& replicated,
+      const std::vector<ads::FeedRecord>& replicated,
       const std::vector<Bytes>& evictions, const TierSuffix& tiered) const;
   /// Force-replicates starved keys and flips into degraded mode.
   void Degrade(const std::vector<PendingRequest>& stale);

@@ -107,42 +107,41 @@ void StorageManagerContract::PreloadReplica(chain::ContractStorage& storage,
 // --- calldata builders ---
 
 Bytes StorageManagerContract::EncodeUpdate(
-    const Hash256& digest, uint64_t epoch,
-    const std::vector<ads::FeedRecord>& replicated,
-    const std::vector<Bytes>& evictions, const TierSuffix& tiered) {
-  AbiWriter w;
-  w.Hash(digest);
-  w.U64(epoch);
-  AppendReplicationSuffix(w, replicated, evictions);
-  AppendTierSuffix(w, tiered);
-  return w.Take();
-}
-
-Bytes StorageManagerContract::EncodeUpdateSharded(
-    const Hash256& digest, uint64_t epoch,
+    size_t shard_count, const Hash256& digest, uint64_t epoch,
     const std::vector<std::pair<uint64_t, Hash256>>& shard_roots,
     const std::vector<ads::FeedRecord>& replicated,
     const std::vector<Bytes>& evictions, const TierSuffix& tiered) {
   AbiWriter w;
   w.Hash(digest);
   w.U64(epoch);
-  w.U64(shard_roots.size());
-  for (const auto& [shard, root] : shard_roots) {
-    w.U64(shard);
-    w.Hash(root);
+  if (shard_count > 1) {
+    w.U64(shard_roots.size());
+    for (const auto& [shard, root] : shard_roots) {
+      w.U64(shard);
+      w.Hash(root);
+    }
   }
-  AppendReplicationSuffix(w, replicated, evictions);
-  AppendTierSuffix(w, tiered);
+  w.U64(replicated.size());
+  for (const auto& record : replicated) w.Blob(record.Serialize());
+  w.U64(evictions.size());
+  for (const auto& key : evictions) w.Blob(key);
+  if (!tiered.empty()) {
+    w.U64(tiered.entries.size());
+    for (const auto& entry : tiered.entries) {
+      w.U64(static_cast<uint64_t>(entry.tier));
+      w.Blob(entry.record.Serialize());
+    }
+    w.U64(tiered.unpins.size());
+    for (const auto& key : tiered.unpins) w.Blob(key);
+  }
   return w.Take();
 }
 
-uint64_t StorageManagerContract::UpdateCalldataBytes(
-    size_t shard_root_count, const std::vector<ads::FeedRecord>& replicated,
-    const std::vector<Bytes>& evictions, const TierSuffix& tiered) {
-  uint64_t bytes = 32 + 8;  // digest + epoch
-  if (shard_root_count > 0) bytes += 8 + 40 * shard_root_count;
-  return bytes + ReplicationSuffixBytes(replicated, evictions) +
-         TierSuffixBytes(tiered);
+uint64_t StorageManagerContract::UpdateBaseBytes(size_t shard_count,
+                                                 size_t shard_roots) {
+  uint64_t bytes = 32 + 8 + 8 + 8;  // digest, epoch, replication counts
+  if (shard_count > 1) bytes += 8 + 40 * shard_roots;
+  return bytes;
 }
 
 Bytes StorageManagerContract::EncodeGGet(ByteSpan key,
@@ -191,39 +190,24 @@ Status StorageManagerContract::HandleUpdate(chain::CallContext& ctx,
   if (!config_.IsAuthorizedDo(ctx.Sender())) {
     return Status::FailedPrecondition("update: caller is not an authorized DO");
   }
-  if (config_.shard_map.Count() > 1) return HandleUpdateSharded(ctx, args);
-  telemetry::GasSpan update_span(telemetry::GasCause::kUpdateRoot);
   AbiReader r(args);
   const Hash256 digest = r.Hash();
   const uint64_t epoch = r.U64();
   (void)epoch;
-
-  ctx.Storage().SStore(RootSlot(), digest);
-  Status s = ApplyReplicationSuffix(ctx, r);
-  if (!s.ok()) return s;
-  return ApplyTierSuffix(ctx, r);
-}
-
-Status StorageManagerContract::HandleUpdateSharded(chain::CallContext& ctx,
-                                                   ByteSpan args) {
-  AbiReader r(args);
-  const Hash256 digest = r.Hash();
-  const uint64_t epoch = r.U64();
-  (void)epoch;
+  // At one shard the digest is the tree's root: no shard-root section, no
+  // rollup. With more, the section lists the shard roots that changed.
   const size_t shard_count = config_.shard_map.Count();
-  const uint64_t n_roots = r.U64();
   std::vector<std::pair<uint64_t, Hash256>> provided;
-  provided.reserve(n_roots);
-  for (uint64_t i = 0; i < n_roots; ++i) {
-    const uint64_t shard = r.U64();
-    const Hash256 root = r.Hash();
-    if (shard >= shard_count) {
-      return Status::InvalidArgument("update: shard index out of range");
+  if (shard_count > 1) {
+    const uint64_t n_roots = r.U64();
+    for (uint64_t i = 0; i < n_roots; ++i) {
+      const uint64_t shard = r.U64();
+      const Hash256 root = r.Hash();
+      if (shard >= shard_count) {
+        return Status::InvalidArgument("update: shard index out of range");
+      }
+      provided.emplace_back(shard, root);
     }
-    provided.emplace_back(shard, root);
-  }
-
-  {
     // Verify the digest is the rollup of the stored shard roots merged with
     // the provided ones, BEFORE storing anything — a failed call does not
     // roll storage back in this model, so nothing may be written until the

@@ -6,11 +6,16 @@
 //   SHA256("grub.kv"   || key)+i -> i-th value word of the replica
 //   SHA256("grub.cnt"  || key)   -> BL3-only on-chain trace counter
 //   SHA256("grub.digest" || key) -> log-tier content digest pin (0 = no pin)
+//   SHA256("grub.shard.root" || s) -> shard s's root (more than one shard)
 //
 // Functions:
-//   update(digest, epoch, replicated_updates[], evictions[],
-//          [tiered[], unpins[]])                              [DO only]
-//     — the optional tier suffix carries log-tier records (digest pin +
+//   update(digest, epoch, [shard_roots[]], replicated_updates[],
+//          evictions[], [tiered[], unpins[]])                 [DO only]
+//     — with more than one shard, `shard_roots` lists the (shard, root)
+//       pairs whose trees changed and the digest must be the rollup of the
+//       stored roots merged with them; at one shard the digest IS the
+//       tree's root and the section is absent (the single-tree layout).
+//       The optional tier suffix carries log-tier records (digest pin +
 //       `grub_data` event with the value as LOG data) and calldata-tier
 //       records (availability only); `unpins` zero digest pins of keys
 //       leaving the log tier and emit `grub_unpin` (so SPs replaying
@@ -53,9 +58,10 @@ class StorageManagerContract : public chain::Contract {
     /// The keyspace partition this deployment commits to. The contract holds
     /// its own copy (determinism: DO, SP and contract must agree on
     /// ShardOf). A single-shard map (the default) keeps the legacy layout
-    /// and calldata formats bit-identical: one root slot, EncodeUpdate.
-    /// With more shards the contract keeps one root slot per shard plus the
-    /// root-of-roots, and update() switches to EncodeUpdateSharded.
+    /// and calldata formats bit-identical: one root slot, no shard-root
+    /// section in update(). With more shards the contract keeps one root
+    /// slot per shard plus the root-of-roots, and update() carries the
+    /// changed shard roots (see EncodeUpdate).
     shard::ShardMap shard_map;
     /// Harden deliver() with the unmetered pending-request ledger: every
     /// point entry must answer an outstanding gGet miss (counted per
@@ -89,28 +95,36 @@ class StorageManagerContract : public chain::Contract {
   static void PreloadReplica(chain::ContractStorage& storage, ByteSpan key,
                              ByteSpan value, bool live);
 
-  // Calldata builders (used by the DO client and the SP daemon). The tier
-  // suffix defaults to empty, which appends nothing — binary-policy
-  // deployments produce the pre-tier calldata byte for byte.
-  static Bytes EncodeUpdate(const Hash256& digest, uint64_t epoch,
-                            const std::vector<ads::FeedRecord>& replicated,
-                            const std::vector<Bytes>& evictions,
-                            const TierSuffix& tiered = {});
-  /// Sharded update: `digest` is the root-of-roots; `shard_roots` carries
-  /// the new root of every shard whose tree changed (untouched shards keep
-  /// their stored roots). The replicated/evictions suffix is the legacy
-  /// layout unchanged.
-  static Bytes EncodeUpdateSharded(
-      const Hash256& digest, uint64_t epoch,
+  // Calldata builders (used by the DO client and the SP daemon).
+  /// One update() at a deployment of `shard_count` shards: digest, epoch,
+  /// the shard-root section, the replicated records and evictions, then the
+  /// tier suffix. The shard-root section (a count, then the new root of
+  /// every shard whose tree changed; untouched shards keep their stored
+  /// roots) is written only when `shard_count` > 1 — at one shard `digest`
+  /// is the tree's root, so `shard_roots` is ignored and the calldata is
+  /// the single-tree layout byte for byte. An empty tier suffix appends
+  /// nothing, so binary-policy deployments produce the pre-tier calldata.
+  static Bytes EncodeUpdate(
+      size_t shard_count, const Hash256& digest, uint64_t epoch,
       const std::vector<std::pair<uint64_t, Hash256>>& shard_roots,
       const std::vector<ads::FeedRecord>& replicated,
       const std::vector<Bytes>& evictions, const TierSuffix& tiered = {});
-  /// Exact calldata size EncodeUpdate/EncodeUpdateSharded will produce
-  /// (`shard_root_count` = 0 selects the unsharded layout) — the DO's
-  /// chunker splits epochs against GasSchedule::kMaxCalldataBytes with this.
-  static uint64_t UpdateCalldataBytes(
-      size_t shard_root_count, const std::vector<ads::FeedRecord>& replicated,
-      const std::vector<Bytes>& evictions, const TierSuffix& tiered);
+  // Exact calldata bytes of EncodeUpdate's parts (the DO's chunker packs an
+  // epoch against GasSchedule::kMaxCalldataBytes with them; codec_test
+  // checks their sum against EncodeUpdate at one and four shards). A
+  // replicated record costs EncodedRecordBytes.
+  /// Digest, epoch, the shard-root section carrying `shard_roots` roots
+  /// (none at one shard) and the replicated/eviction counts.
+  static uint64_t UpdateBaseBytes(size_t shard_count, size_t shard_roots);
+  /// One eviction or unpin.
+  static uint64_t UpdateKeyBytes(ByteSpan key) { return 8 + key.size(); }
+  /// One tier-suffix entry: the tier tag plus the record.
+  static uint64_t UpdateTierEntryBytes(const TierEntry& entry) {
+    return 8 + EncodedRecordBytes(entry.record);
+  }
+  /// The tier suffix's two counts, written only when the suffix is not empty.
+  static constexpr uint64_t kUpdateTierCountBytes = 8 + 8;
+
   static Bytes EncodeGGet(ByteSpan key, chain::Address callback_contract,
                           const std::string& callback_function);
   static Bytes EncodeGScan(ByteSpan start, ByteSpan end,
@@ -150,12 +164,11 @@ class StorageManagerContract : public chain::Contract {
 
  private:
   Status HandleUpdate(chain::CallContext& ctx, ByteSpan args);
-  Status HandleUpdateSharded(chain::CallContext& ctx, ByteSpan args);
   Status HandleGGet(chain::CallContext& ctx, ByteSpan args);
   Status HandleGScan(chain::CallContext& ctx, ByteSpan args);
   Status HandleDeliver(chain::CallContext& ctx, ByteSpan args);
 
-  /// The replicated-values + evictions suffix shared by both update layouts.
+  /// The replicated-values + evictions suffix every update carries.
   Status ApplyReplicationSuffix(chain::CallContext& ctx, chain::AbiReader& r);
   /// The optional tier suffix after it: log-tier digest pins + data events,
   /// and unpins. A reader at end-of-calldata is the legacy layout — no-op.

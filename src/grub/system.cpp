@@ -119,8 +119,6 @@ size_t GrubSystem::AddFeed(const FeedOptions& options,
     monitor_options.shard_of = [shard_map](const Bytes& key) {
       return shard_map.ShardOf(key);
     };
-    monitor_options.sketch_capacity = options.workload_sketch_capacity;
-    monitor_options.rate_window_blocks = options.workload_rate_window_blocks;
     feed->workload_ =
         std::make_unique<telemetry::WorkloadMonitor>(std::move(monitor_options));
     feed->do_client_->SetWorkloadMonitor(feed->workload_.get());

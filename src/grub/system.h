@@ -106,10 +106,6 @@ struct FeedOptions {
   /// Observation-only; never changes Gas results (the `identity` ctest
   /// pins it).
   bool enable_workload_monitor = false;
-  /// Heavy-hitter sketch capacity for the monitor.
-  size_t workload_sketch_capacity = 64;
-  /// Block window for the monitor's decayed rate estimators.
-  uint64_t workload_rate_window_blocks = 16;
 };
 
 /// The system-wide knobs, plus feed 0's (inherited).

@@ -127,7 +127,9 @@ Status KVStore::Put(ByteSpan key, ByteSpan value) {
 }
 
 Status KVStore::Delete(ByteSpan key) {
-  WalRecord record{.is_delete = true, .key = Bytes(key.begin(), key.end())};
+  WalRecord record{.is_delete = true,
+                   .key = Bytes(key.begin(), key.end()),
+                   .value = {}};
   Status s = LogWrite(record);
   if (!s.ok()) return s;
   memtable_.Delete(key);
@@ -271,12 +273,6 @@ Status KVStore::Compact() {
     for (uint64_t old : old_ids) fs::remove(RunPath(old), ec);
   }
   return Status::Ok();
-}
-
-size_t KVStore::LiveEntryEstimate() const {
-  size_t n = memtable_.EntryCount();
-  for (const auto& run : runs_) n += run->EntryCount();
-  return n;
 }
 
 }  // namespace grub::kv

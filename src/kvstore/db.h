@@ -63,7 +63,6 @@ class KVStore {
   Status Flush();
 
   size_t RunCount() const { return runs_.size(); }
-  size_t LiveEntryEstimate() const;
 
   /// Installs wall-clock instruments on the hot paths (kv.put_seconds,
   /// kv.scan_seconds, kv.wal_sync_seconds histograms; kv.flushes,

@@ -92,14 +92,6 @@ Result<ads::FeedRecord> ShardedAdsSp::Peek(ByteSpan key) const {
   return shards_[map_.ShardOf(key)]->Peek(key);
 }
 
-void ShardedAdsSp::SetAdvisoryState(ByteSpan key, ads::ReplState state) {
-  shards_[map_.ShardOf(key)]->SetAdvisoryState(key, state);
-}
-
-ads::ReplState ShardedAdsSp::EffectiveState(ByteSpan key) const {
-  return shards_[map_.ShardOf(key)]->EffectiveState(key);
-}
-
 void ShardedAdsSp::SetAdvisoryTier(ByteSpan key, tier::StorageTier t) {
   shards_[map_.ShardOf(key)]->SetAdvisoryTier(key, t);
 }

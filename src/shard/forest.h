@@ -82,8 +82,6 @@ class ShardedAdsSp {
   Result<ads::QueryProof> Get(ByteSpan key) const;
   Result<ads::AbsenceProof> ProveAbsent(ByteSpan key) const;
   Result<ads::FeedRecord> Peek(ByteSpan key) const;
-  void SetAdvisoryState(ByteSpan key, ads::ReplState state);
-  ads::ReplState EffectiveState(ByteSpan key) const;
   void SetAdvisoryTier(ByteSpan key, tier::StorageTier t);
   tier::StorageTier EffectiveTier(ByteSpan key) const;
 

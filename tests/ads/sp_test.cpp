@@ -156,9 +156,9 @@ TEST(AdsSp, ScanOnEmptyStoreVerifiesEmpty) {
 TEST(AdsSp, EffectiveStateFollowsAdvisoryThenRecord) {
   AdsSp sp;
   ASSERT_TRUE(sp.ApplyPut(Rec(1, "v", ReplState::kNR)).ok());
-  EXPECT_EQ(sp.EffectiveState(MakeKey(1)), ReplState::kNR);
-  sp.SetAdvisoryState(MakeKey(1), ReplState::kR);
-  EXPECT_EQ(sp.EffectiveState(MakeKey(1)), ReplState::kR);
+  EXPECT_EQ(sp.EffectiveTier(MakeKey(1)), tier::StorageTier::kOffchain);
+  sp.SetAdvisoryTier(MakeKey(1), tier::StorageTier::kStorage);
+  EXPECT_EQ(sp.EffectiveTier(MakeKey(1)), tier::StorageTier::kStorage);
   // The authenticated bit is still NR until the next verified put.
   EXPECT_EQ(sp.Peek(MakeKey(1))->state, ReplState::kNR);
 }

@@ -107,7 +107,7 @@ TEST(PriceSchedule, RegimeIsSeededAndTwoValued) {
 // calldata/tx base (exec).
 class SetContract : public Contract {
  public:
-  Status Call(CallContext& ctx, const std::string& function,
+  Status Call(CallContext& ctx, const std::string& /*function*/,
               ByteSpan args) override {
     AbiReader r(args);
     ctx.Storage().SStore(Word::FromU64(1), Word::FromU64(r.U64()));

@@ -103,7 +103,9 @@ TEST(SystemFault, CorruptProofIsRejectedOnChainAndReproved) {
   // Every delivered value is byte-exact — the corruption never got through.
   for (const auto& [key, value] : system.Consumer().received()) {
     for (const auto& [feed_key, feed_value] : SmallFeed()) {
-      if (key == feed_key) EXPECT_EQ(value, feed_value);
+      if (key == feed_key) {
+        EXPECT_EQ(value, feed_value);
+      }
     }
   }
 }

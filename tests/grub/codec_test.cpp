@@ -143,8 +143,8 @@ TEST(Codec, TruncatedDeliverEntryFailsCleanly) {
 TEST(Codec, UpdateCalldataIsCompact) {
   // The digest-only update (the common case for NR batches) stays small:
   // the cost model rewards exactly this.
-  Bytes calldata =
-      StorageManagerContract::EncodeUpdate(Hash256::FromU64(1), 9, {}, {});
+  Bytes calldata = StorageManagerContract::EncodeUpdate(
+      /*shard_count=*/1, Hash256::FromU64(1), 9, {}, {}, {});
   EXPECT_LE(calldata.size(), 64u);  // digest + epoch + two zero counts
 }
 
@@ -173,8 +173,7 @@ TEST(Codec, DeliverEntryDigestRoundTrip) {
   EXPECT_TRUE(r.AtEnd());
 }
 
-// ---- the shared calldata-size helpers: every estimate is asserted against
-// the bytes the matching Append* encoder actually produces ----
+// ---- the update layout and its size functions ----
 
 TEST(Codec, EncodedRecordBytesMatchesBlobEncoding) {
   for (size_t value_bytes : {size_t{0}, size_t{1}, size_t{32}, size_t{257}}) {
@@ -187,74 +186,167 @@ TEST(Codec, EncodedRecordBytesMatchesBlobEncoding) {
   }
 }
 
-TEST(Codec, ReplicationSuffixBytesMatchesEncoding) {
-  std::vector<ads::FeedRecord> replicated = {
-      {MakeKey(1), Bytes(40, 0x01), ads::ReplState::kR},
-      {MakeKey(2), Bytes(3, 0x02), ads::ReplState::kR},
-  };
-  std::vector<Bytes> evictions = {MakeKey(3), ToBytes("longer-key-here")};
-  chain::AbiWriter w;
-  AppendReplicationSuffix(w, replicated, evictions);
-  EXPECT_EQ(w.Take().size(), ReplicationSuffixBytes(replicated, evictions));
+struct UpdateParts {
+  std::vector<std::pair<uint64_t, Hash256>> roots;
+  std::vector<ads::FeedRecord> replicated;
+  std::vector<Bytes> evictions;
+  TierSuffix tiered;
+};
 
-  chain::AbiWriter empty;
-  AppendReplicationSuffix(empty, {}, {});
-  EXPECT_EQ(empty.Take().size(), ReplicationSuffixBytes({}, {}));
-}
-
-TEST(Codec, TierSuffixBytesMatchesEncodingAndEmptyAppendsNothing) {
-  TierSuffix suffix;
-  suffix.entries.push_back(
+UpdateParts FullUpdate() {
+  UpdateParts parts;
+  parts.roots = {{0, Hash256::FromU64(7)}, {3, Hash256::FromU64(8)}};
+  parts.replicated = {{MakeKey(1), Bytes(33, 0x01), ads::ReplState::kR},
+                      {MakeKey(2), Bytes(3, 0x02), ads::ReplState::kR}};
+  parts.evictions = {MakeKey(4), ToBytes("longer-key-here")};
+  parts.tiered.entries.push_back(
       {tier::StorageTier::kLog,
-       ads::FeedRecord{MakeKey(1), Bytes(64, 0x11), ads::ReplState::kNR}});
-  suffix.entries.push_back(
+       ads::FeedRecord{MakeKey(5), Bytes(80, 0x33), ads::ReplState::kNR}});
+  parts.tiered.entries.push_back(
       {tier::StorageTier::kCalldata,
        ads::FeedRecord{MakeKey(2), Bytes(5, 0x22), ads::ReplState::kNR}});
-  suffix.unpins = {MakeKey(9)};
+  parts.tiered.unpins = {MakeKey(6)};
+  return parts;
+}
 
-  chain::AbiWriter w;
-  AppendTierSuffix(w, suffix);
-  EXPECT_EQ(w.Take().size(), TierSuffixBytes(suffix));
+// Every subset of FullUpdate()'s parts: with and without shard roots,
+// replication traffic and a tier suffix.
+std::vector<UpdateParts> UpdateVariants() {
+  const UpdateParts full = FullUpdate();
+  std::vector<UpdateParts> variants;
+  for (int mask = 0; mask < 8; ++mask) {
+    UpdateParts parts;
+    if (mask & 1) parts.roots = full.roots;
+    if (mask & 2) {
+      parts.replicated = full.replicated;
+      parts.evictions = full.evictions;
+    }
+    if (mask & 4) parts.tiered = full.tiered;
+    variants.push_back(parts);
+  }
+  return variants;
+}
 
-  // The empty suffix is the byte-identity guarantee: nothing appended,
-  // nothing counted.
-  chain::AbiWriter empty;
-  AppendTierSuffix(empty, TierSuffix{});
-  EXPECT_TRUE(empty.Take().empty());
-  EXPECT_EQ(TierSuffixBytes(TierSuffix{}), 0u);
+Bytes Encode(size_t shard_count, const UpdateParts& parts) {
+  return StorageManagerContract::EncodeUpdate(
+      shard_count, Hash256::FromU64(2), 4, parts.roots, parts.replicated,
+      parts.evictions, parts.tiered);
+}
+
+using Contract = StorageManagerContract;
+
+// The size functions' share of an update's calldata beyond UpdateBaseBytes.
+uint64_t ReplicationBytes(const UpdateParts& parts) {
+  uint64_t bytes = 0;
+  for (const auto& record : parts.replicated) {
+    bytes += EncodedRecordBytes(record);
+  }
+  for (const auto& key : parts.evictions) {
+    bytes += Contract::UpdateKeyBytes(key);
+  }
+  return bytes;
+}
+
+uint64_t TierBytes(const TierSuffix& tiered) {
+  if (tiered.empty()) return 0;
+  uint64_t bytes = Contract::kUpdateTierCountBytes;
+  for (const auto& entry : tiered.entries) {
+    bytes += Contract::UpdateTierEntryBytes(entry);
+  }
+  for (const auto& key : tiered.unpins) bytes += Contract::UpdateKeyBytes(key);
+  return bytes;
 }
 
 TEST(Codec, UpdateCalldataBytesMatchesBothEncoders) {
-  std::vector<ads::FeedRecord> replicated = {
-      {MakeKey(1), Bytes(33, 0x01), ads::ReplState::kR}};
-  std::vector<Bytes> evictions = {MakeKey(4)};
-  TierSuffix tiered;
-  tiered.entries.push_back(
-      {tier::StorageTier::kLog,
-       ads::FeedRecord{MakeKey(5), Bytes(80, 0x33), ads::ReplState::kNR}});
-  tiered.unpins = {MakeKey(6)};
+  // Both layouts EncodeUpdate writes: the single tree (one shard) and the
+  // forest (four shards), for every subset of the update's parts.
+  for (size_t shard_count : {size_t{1}, size_t{4}}) {
+    for (const UpdateParts& parts : UpdateVariants()) {
+      EXPECT_EQ(Encode(shard_count, parts).size(),
+                Contract::UpdateBaseBytes(shard_count, parts.roots.size()) +
+                    ReplicationBytes(parts) + TierBytes(parts.tiered))
+          << "shards " << shard_count << " roots " << parts.roots.size()
+          << " replicated " << parts.replicated.size() << " tiered "
+          << !parts.tiered.empty();
+    }
+  }
+}
 
-  // Unsharded layout, with and without a tier suffix.
-  EXPECT_EQ(StorageManagerContract::EncodeUpdate(Hash256::FromU64(1), 3,
-                                                 replicated, evictions)
-                .size(),
-            StorageManagerContract::UpdateCalldataBytes(0, replicated,
-                                                        evictions, {}));
-  EXPECT_EQ(StorageManagerContract::EncodeUpdate(Hash256::FromU64(1), 3,
-                                                 replicated, evictions, tiered)
-                .size(),
-            StorageManagerContract::UpdateCalldataBytes(0, replicated,
-                                                        evictions, tiered));
+TEST(Codec, ReplicationSuffixBytesMatchesEncoding) {
+  const UpdateParts full = FullUpdate();
+  UpdateParts bare = full;
+  bare.replicated.clear();
+  bare.evictions.clear();
+  for (size_t shard_count : {size_t{1}, size_t{4}}) {
+    // Replicated records and evictions grow the update by exactly their
+    // sizes; their two counts are part of UpdateBaseBytes.
+    EXPECT_EQ(Encode(shard_count, full).size() -
+                  Encode(shard_count, bare).size(),
+              ReplicationBytes(full))
+        << "shards " << shard_count;
+    EXPECT_EQ(Encode(shard_count, UpdateParts{}).size(),
+              Contract::UpdateBaseBytes(shard_count, 0))
+        << "shards " << shard_count;
+  }
+}
 
-  // Sharded layout: the shard-root list adds 8 + 40 per root.
-  std::vector<std::pair<uint64_t, Hash256>> roots = {
-      {0, Hash256::FromU64(7)}, {3, Hash256::FromU64(8)}};
-  EXPECT_EQ(StorageManagerContract::EncodeUpdateSharded(
-                Hash256::FromU64(2), 4, roots, replicated, evictions, tiered)
-                .size(),
-            StorageManagerContract::UpdateCalldataBytes(roots.size(),
-                                                        replicated, evictions,
-                                                        tiered));
+TEST(Codec, TierSuffixBytesMatchesEncodingAndEmptyAppendsNothing) {
+  const UpdateParts full = FullUpdate();
+  UpdateParts untiered = full;
+  untiered.tiered = TierSuffix{};
+  for (size_t shard_count : {size_t{1}, size_t{4}}) {
+    EXPECT_EQ(Encode(shard_count, full).size() -
+                  Encode(shard_count, untiered).size(),
+              TierBytes(full.tiered))
+        << "shards " << shard_count;
+    // The empty suffix is the byte-identity guarantee: passing it writes
+    // the same calldata as leaving the tier argument out.
+    EXPECT_EQ(Encode(shard_count, untiered),
+              Contract::EncodeUpdate(shard_count, Hash256::FromU64(2), 4,
+                                     untiered.roots, untiered.replicated,
+                                     untiered.evictions))
+        << "shards " << shard_count;
+  }
+  EXPECT_EQ(TierBytes(TierSuffix{}), 0u);
+}
+
+TEST(Codec, UpdateWritesShardRootsOnlyAboveOneShard) {
+  // The single-tree layout, written out field by field: digest, epoch, the
+  // replication suffix, and the tier suffix only when it has entries.
+  const auto legacy = [](const UpdateParts& parts, bool with_roots) {
+    chain::AbiWriter w;
+    w.Hash(Hash256::FromU64(2));
+    w.U64(4);
+    if (with_roots) {
+      w.U64(parts.roots.size());
+      for (const auto& [shard, root] : parts.roots) {
+        w.U64(shard);
+        w.Hash(root);
+      }
+    }
+    w.U64(parts.replicated.size());
+    for (const auto& record : parts.replicated) w.Blob(record.Serialize());
+    w.U64(parts.evictions.size());
+    for (const auto& key : parts.evictions) w.Blob(key);
+    if (!parts.tiered.empty()) {
+      w.U64(parts.tiered.entries.size());
+      for (const auto& entry : parts.tiered.entries) {
+        w.U64(static_cast<uint64_t>(entry.tier));
+        w.Blob(entry.record.Serialize());
+      }
+      w.U64(parts.tiered.unpins.size());
+      for (const auto& key : parts.tiered.unpins) w.Blob(key);
+    }
+    return w.Take();
+  };
+  for (const UpdateParts& parts : UpdateVariants()) {
+    // One shard: the digest is the tree's root, so roots are never written.
+    EXPECT_EQ(Encode(1, parts), legacy(parts, /*with_roots=*/false));
+    // Four shards: the root section (possibly empty) follows the epoch.
+    EXPECT_EQ(Encode(4, parts), legacy(parts, /*with_roots=*/true));
+  }
+  // The digest-only single-tree update: digest, epoch, two zero counts.
+  EXPECT_EQ(Encode(1, UpdateParts{}).size(), 32u + 8 + 8 + 8);
 }
 
 }  // namespace

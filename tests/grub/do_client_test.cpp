@@ -73,7 +73,8 @@ TEST(DoClient, AdvisoryStateSteersDeliverImmediately) {
   GrubSystem system(SystemOptions{}, std::make_unique<MemorylessPolicy>(1));
   system.Preload({{MakeKey(0), Bytes(32, 1)}});
   system.ReadNow(MakeKey(0));  // observation flips the policy to R
-  EXPECT_EQ(system.Sp().EffectiveState(MakeKey(0)), ads::ReplState::kR);
+  EXPECT_EQ(system.Sp().EffectiveTier(MakeKey(0)),
+            tier::StorageTier::kStorage);
   // But the authenticated record bit is still NR (no epoch close yet).
   EXPECT_EQ(system.Sp().Peek(MakeKey(0))->state, ads::ReplState::kNR);
 }

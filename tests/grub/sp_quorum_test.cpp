@@ -133,7 +133,9 @@ TEST(SpQuorum, VerifiedRejectionsBlacklistAndFailOverInTheSameCycle) {
   EXPECT_EQ(system.Consumer().values_received(), 2u);
   for (const auto& [key, value] : system.Consumer().received()) {
     for (const auto& [feed_key, feed_value] : SmallFeed()) {
-      if (key == feed_key) EXPECT_EQ(value, feed_value);
+      if (key == feed_key) {
+        EXPECT_EQ(value, feed_value);
+      }
     }
   }
 }
@@ -151,7 +153,9 @@ TEST(SpQuorum, AllByzantineQuorumParolesButNeverAcceptsForgedValues) {
   EXPECT_GE(system.Quorum().Failovers(), 2u);
   for (const auto& [key, value] : system.Consumer().received()) {
     for (const auto& [feed_key, feed_value] : SmallFeed()) {
-      if (key == feed_key) EXPECT_EQ(value, feed_value);
+      if (key == feed_key) {
+        EXPECT_EQ(value, feed_value);
+      }
     }
   }
 }

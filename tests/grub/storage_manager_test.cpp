@@ -39,8 +39,8 @@ struct Fixture {
     tx.from = sender;
     tx.to = manager;
     tx.function = StorageManagerContract::kUpdateFn;
-    tx.calldata = StorageManagerContract::EncodeUpdate(sp.Root(), epoch++,
-                                                       updates, evictions);
+    tx.calldata = StorageManagerContract::EncodeUpdate(
+        /*shard_count=*/1, sp.Root(), epoch++, {}, updates, evictions);
     return chain.SubmitAndMine(std::move(tx));
   }
 

@@ -4,7 +4,8 @@
 //  * adaptivity: converged GRuB never loses to BOTH static baselines;
 //  * state agreement: DO and SP roots never diverge at epoch boundaries;
 //  * replica tracking: the DO's record of live replicas and log-tier pins
-//    equals what contract storage holds.
+//    equals what contract storage holds, also under faults once the
+//    mempool is drained.
 #include <gtest/gtest.h>
 
 #include <deque>
@@ -178,6 +179,19 @@ std::set<Bytes> Sorted(const DoClient::KeySet& keys) {
   return {keys.begin(), keys.end()};
 }
 
+// Under faults the DO's record and contract storage differ only by the
+// transactions still in the mempool when Drive returns: orphaned by the
+// run's last reorg, or delayed. Draining them (faults off, mine until the
+// mempool is empty, one more epoch close to fold the landed delivers and
+// publish what the DO decided meanwhile) leaves the two equal: no update
+// is lost.
+void DrainMempool(GrubSystem& system) {
+  system.Chain().SetFaultInjector(nullptr);
+  while (!system.Chain().MineBlock().empty()) {
+  }
+  system.Do().EndEpoch();
+}
+
 TEST_P(SystemPropertyTest, TrackedReplicasEqualLiveLengthSlots) {
   constexpr size_t kKeys = 96;
   const auto trace = RandomTrace(GetParam() + 500, 600, kKeys);
@@ -188,20 +202,33 @@ TEST_P(SystemPropertyTest, TrackedReplicasEqualLiveLengthSlots) {
           [] { return std::make_unique<AdaptiveK1Policy>(2); },
           [] { return MakeBL2(); },
       };
-  for (size_t p = 0; p < policies.size(); ++p) {
-    for (size_t shards : {1, 4}) {
-      SystemOptions options;
-      options.shards = shards;
-      if (shards > 1) {
-        options.shard_boundaries = IndexedKeyBoundaries(kKeys, shards);
+  for (const char* schedule :
+       {"", "sp.deliver.drop@2", "chain.reorg%6", "chain.tx.delay%4"}) {
+    uint64_t fires = 0;  // BL2 never delivers, so drop@2 cannot fire there
+    for (size_t p = 0; p < policies.size(); ++p) {
+      for (size_t shards : {1, 4}) {
+        SystemOptions options;
+        options.shards = shards;
+        if (shards > 1) {
+          options.shard_boundaries = IndexedKeyBoundaries(kKeys, shards);
+        }
+        options.fault_schedule = schedule;
+        GrubSystem system(options, policies[p]());
+        system.Preload(Preload(kKeys));
+        system.Drive(trace);
+        if (system.Faults() != nullptr) {
+          fires += system.Faults()->TotalFires();
+          DrainMempool(system);
+        }
+        EXPECT_EQ(Sorted(system.Do().OnChainReplicas()),
+                  KeysWithLiveSlot(system, kKeys,
+                                   &StorageManagerContract::LenSlot))
+            << "policy " << system.Do().Policy().Name() << " shards "
+            << shards << " schedule '" << schedule << "'";
       }
-      GrubSystem system(options, policies[p]());
-      system.Preload(Preload(kKeys));
-      system.Drive(trace);
-      EXPECT_EQ(Sorted(system.Do().OnChainReplicas()),
-                KeysWithLiveSlot(system, kKeys,
-                                 &StorageManagerContract::LenSlot))
-          << "policy " << system.Do().Policy().Name() << " shards " << shards;
+    }
+    if (*schedule != '\0') {
+      EXPECT_GT(fires, 0u) << schedule;
     }
   }
 }
@@ -231,14 +258,30 @@ class AlternatingLogPolicy : public ReplicationPolicy {
 TEST_P(SystemPropertyTest, TrackedLogPinsEqualLiveDigestPins) {
   constexpr size_t kKeys = 96;
   const auto trace = RandomTrace(GetParam() + 600, 600, kKeys);
-  GrubSystem system(SystemOptions{}, std::make_unique<AlternatingLogPolicy>());
-  system.Preload(Preload(kKeys));
-  system.Drive(trace);
-  EXPECT_GT(system.Do().log_pins(), 0u);
-  EXPECT_GT(system.Do().log_unpins(), 0u);
-  EXPECT_EQ(Sorted(system.Do().LogPinsOnChain()),
-            KeysWithLiveSlot(system, kKeys,
-                             &StorageManagerContract::DigestSlot));
+  for (const char* schedule :
+       {"", "sp.deliver.drop@2", "chain.reorg%6", "chain.tx.delay%4"}) {
+    for (size_t shards : {1, 4}) {
+      SystemOptions options;
+      options.shards = shards;
+      if (shards > 1) {
+        options.shard_boundaries = IndexedKeyBoundaries(kKeys, shards);
+      }
+      options.fault_schedule = schedule;
+      GrubSystem system(options, std::make_unique<AlternatingLogPolicy>());
+      system.Preload(Preload(kKeys));
+      system.Drive(trace);
+      if (system.Faults() != nullptr) {
+        EXPECT_GT(system.Faults()->TotalFires(), 0u) << schedule;
+        DrainMempool(system);
+      }
+      EXPECT_GT(system.Do().log_pins(), 0u);
+      EXPECT_GT(system.Do().log_unpins(), 0u);
+      EXPECT_EQ(Sorted(system.Do().LogPinsOnChain()),
+                KeysWithLiveSlot(system, kKeys,
+                                 &StorageManagerContract::DigestSlot))
+          << "shards " << shards << " schedule '" << schedule << "'";
+    }
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SystemPropertyTest,

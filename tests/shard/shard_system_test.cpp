@@ -110,6 +110,19 @@ TEST(ShardedSystem, PerShardUpdateGasCoversInvolvedShardsOnly) {
   EXPECT_EQ(per_shard[1], 0u);
   EXPECT_EQ(per_shard[2], 0u);
   EXPECT_EQ(per_shard[3], 0u);
+
+  // A digest-only epoch involves no shard of a sharded deployment...
+  const std::vector<uint64_t> before = per_shard;
+  ASSERT_TRUE(system.Do().EndEpoch().ok());
+  EXPECT_EQ(system.Do().PerShardUpdateGas(), before);
+
+  // ...while a one-shard deployment's shard is involved in every epoch.
+  GrubSystem single(ShardedOptions(1), MakeBL1());
+  single.Preload(PreloadRecords("v"));
+  const chain::Receipt receipt = single.Do().EndEpoch();
+  ASSERT_TRUE(receipt.ok());
+  EXPECT_EQ(single.Do().PerShardUpdateGas(),
+            std::vector<uint64_t>{receipt.gas_used});
 }
 
 TEST(MultiFeed, FeedsAreIsolatedOnOneChain) {

@@ -85,8 +85,8 @@ struct ContractFixture {
     tx.from = kDo;
     tx.to = manager;
     tx.function = StorageManagerContract::kUpdateFn;
-    tx.calldata = StorageManagerContract::EncodeUpdate(Hash256::FromU64(1),
-                                                       epoch++, {}, {}, tiered);
+    tx.calldata = StorageManagerContract::EncodeUpdate(
+        /*shard_count=*/1, Hash256::FromU64(1), epoch++, {}, {}, {}, tiered);
     return chain.SubmitAndMine(std::move(tx));
   }
 
@@ -158,31 +158,93 @@ TEST(TierE2E, UnpinnedKeyRejectsDigestDelivers) {
   EXPECT_FALSE(f.DeliverDigest(key, value).ok());
 }
 
+// What one tier-only update() carries: the shard of its records (the DO
+// sends one update per involved shard, so they share it) and the number of
+// shard roots in its header.
+struct UpdateShape {
+  uint32_t shard = 0;
+  uint64_t roots = 0;
+};
+
+UpdateShape ShapeOf(GrubSystem& system, const Bytes& calldata) {
+  UpdateShape shape;
+  chain::AbiReader r(calldata);
+  (void)r.Hash();  // digest
+  (void)r.U64();   // epoch
+  if (system.ShardedSp().ShardCount() > 1) {
+    shape.roots = r.U64();
+    for (uint64_t i = 0; i < shape.roots; ++i) {
+      (void)r.U64();
+      (void)r.Hash();
+    }
+  }
+  EXPECT_EQ(r.U64(), 0u);  // replicated records
+  EXPECT_EQ(r.U64(), 0u);  // evictions
+  EXPECT_GT(r.U64(), 0u);  // tier entries
+  (void)r.U64();           // tier tag
+  auto record = ads::FeedRecord::Deserialize(r.Blob());
+  EXPECT_TRUE(record.ok());
+  shape.shard = system.ShardedSp().Map().ShardOf(record->key);
+  return shape;
+}
+
 TEST(TierE2E, OversizedEpochUpdateIsChunkedAcrossTransactions) {
-  // 40 calldata-tier records x 1 KiB ≈ 42 KB of tier suffix — well past the
-  // 31968-byte Ctx(X) budget. The DO must split the epoch into multiple
-  // update transactions (TxCost hard-aborts the process on a breach, so
-  // completing at all proves every chunk fit).
-  GrubSystem system(SystemOptions{}, StaticTier(tier::StorageTier::kCalldata));
-  std::vector<std::pair<Bytes, Bytes>> preload;
-  for (uint64_t i = 0; i < 40; ++i) {
-    preload.emplace_back(MakeKey(i), Bytes(1024, 0x11));
-  }
-  system.Preload(preload);
+  // 40 calldata-tier records x 1 KiB per shard ≈ 42 KB of tier suffix per
+  // shard — well past the 31968-byte Ctx(X) budget. The DO must split each
+  // shard's update into several update transactions (TxCost hard-aborts the
+  // process on a breach, so completing at all proves every chunk fit; the
+  // sizes are asserted too). At four shards only a shard's first chunk
+  // carries its root.
+  struct Case {
+    size_t shards;
+    uint64_t records;
+  };
+  for (const auto& [shards, records] : {Case{1, 40}, Case{4, 160}}) {
+    SCOPED_TRACE("shards " + std::to_string(shards));
+    SystemOptions options;
+    options.shards = shards;
+    if (shards > 1) {
+      options.shard_boundaries = IndexedKeyBoundaries(records, shards);
+    }
+    GrubSystem system(options, StaticTier(tier::StorageTier::kCalldata));
+    std::vector<std::pair<Bytes, Bytes>> preload;
+    for (uint64_t i = 0; i < records; ++i) {
+      preload.emplace_back(MakeKey(i), Bytes(1024, 0x11));
+    }
+    system.Preload(preload);
 
-  for (uint64_t i = 0; i < 40; ++i) {
-    system.Write(MakeKey(i), Bytes(1024, uint8_t(i + 1)));
-  }
-  const uint64_t blocks_before = system.Chain().CurrentBlockNumber();
-  system.EndEpoch();
-  // Every update is its own SubmitAndMine block: >= 2 blocks == >= 2 chunks.
-  EXPECT_GE(system.Chain().CurrentBlockNumber() - blocks_before, 2u);
+    for (uint64_t i = 0; i < records; ++i) {
+      system.Write(MakeKey(i), Bytes(1024, uint8_t(i + 1)));
+    }
+    const size_t history_before = system.Chain().CallHistory().size();
+    system.EndEpoch();
+    std::vector<size_t> updates_per_shard(shards, 0);
+    const auto& history = system.Chain().CallHistory();
+    for (size_t i = history_before; i < history.size(); ++i) {
+      const chain::CallRecord& call = history[i];
+      if (call.internal || call.function != StorageManagerContract::kUpdateFn) {
+        continue;
+      }
+      EXPECT_TRUE(call.ok);
+      EXPECT_LT(call.calldata.size(), chain::GasSchedule::kMaxCalldataBytes);
+      const UpdateShape shape = ShapeOf(system, call.calldata);
+      const bool first = updates_per_shard[shape.shard] == 0;
+      EXPECT_EQ(shape.roots, shards > 1 && first ? 1u : 0u)
+          << "shard " << shape.shard;
+      updates_per_shard[shape.shard] += 1;
+    }
+    for (size_t s = 0; s < shards; ++s) {
+      EXPECT_GE(updates_per_shard[s], 2u) << "shard " << s;
+    }
 
-  system.ReadNow(MakeKey(0));
-  system.ReadNow(MakeKey(39));
-  ASSERT_EQ(system.Consumer().values_received(), 2u);
-  EXPECT_EQ(system.Consumer().received()[0].second, Bytes(1024, 1));
-  EXPECT_EQ(system.Consumer().received()[1].second, Bytes(1024, 40));
+    system.ReadNow(MakeKey(0));
+    system.ReadNow(MakeKey(records - 1));
+    ASSERT_EQ(system.Consumer().values_received(), 2u);
+    EXPECT_EQ(system.Consumer().received()[0].second, Bytes(1024, 1));
+    EXPECT_EQ(system.Consumer().received()[1].second,
+              Bytes(1024, uint8_t(records)));
+    EXPECT_EQ(system.Do().Root(), system.ShardedSp().RootOfRoots());
+  }
 }
 
 TEST(TierE2E, OversizedDeliverBatchIsSplitAcrossPolls) {

@@ -40,7 +40,9 @@ TEST(FixedRatio, SingleKeyThroughout) {
 TEST(FixedRatio, WritesCarryRequestedValueSize) {
   auto trace = FixedRatioTrace(1, 100, 256);
   for (const auto& op : trace) {
-    if (op.type == OpType::kWrite) EXPECT_EQ(op.value.size(), 256u);
+    if (op.type == OpType::kWrite) {
+      EXPECT_EQ(op.value.size(), 256u);
+    }
   }
 }
 
@@ -66,7 +68,9 @@ TEST(PriceOracle, SingleKeyAndOneWordValues) {
   auto trace = PriceOracleTrace({});
   for (const auto& op : trace) {
     EXPECT_EQ(op.key, MakeKey(0));
-    if (op.type == OpType::kWrite) EXPECT_EQ(op.value.size(), 32u);
+    if (op.type == OpType::kWrite) {
+      EXPECT_EQ(op.value.size(), 32u);
+    }
   }
 }
 
