@@ -80,7 +80,8 @@ Fig5Result RunFig5(const bench::PolicyFactory& policy,
   // closes telemetry epochs itself; each row's attribution delta is the
   // epoch's Gas.
   auto close_epoch = [&] {
-    const auto& row = system.Metrics()->CloseEpoch(ops_in_epoch);
+    const auto& row =
+        system.Metrics()->CloseEpoch(ops_in_epoch, system.Robustness());
     result.per_epoch_gas_per_op.push_back(row.GasPerOp());
     result.per_epoch_ops_gas.emplace_back(row.ops, row.GasTotal());
     result.total_ops += row.ops;

@@ -4,7 +4,6 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <system_error>
@@ -113,49 +112,6 @@ std::string WriteReportFile(
   file.reports = reports;
   file.WriteJson(out);
   return path;
-}
-
-int StandaloneMain(int argc, char** argv) {
-  BenchOptions options;
-  std::string json_dir;
-  bool json = false;
-  for (int i = 1; i < argc; ++i) {
-    if (!std::strcmp(argv[i], "--quick")) {
-      options.quick = true;
-    } else if (!std::strcmp(argv[i], "--no-timing")) {
-      options.timing = false;
-    } else if (!std::strcmp(argv[i], "--json-out")) {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "missing value for --json-out\n");
-        return 2;
-      }
-      json_dir = argv[++i];
-      json = true;
-    } else if (!std::strcmp(argv[i], "--help") || !std::strcmp(argv[i], "-h")) {
-      std::printf(
-          "usage: %s [--quick] [--no-timing] [--json-out DIR]\n"
-          "Runs the bench(es) compiled into this binary, printing the paper\n"
-          "reproduction tables; --json-out also writes BENCH_<name>.json.\n",
-          argv[0]);
-      return 0;
-    } else {
-      std::fprintf(stderr, "unknown argument: %s (try --help)\n", argv[i]);
-      return 2;
-    }
-  }
-
-  int failures = 0;
-  for (const BenchInfo* bench : AllBenches()) {
-    telemetry::BenchReport report = RunBench(*bench, options);
-    if (report.failed) ++failures;
-    if (json) {
-      const std::string path =
-          WriteReportFile(json_dir, report.name, {report});
-      if (path.empty()) return 1;
-      std::printf("\nwrote %s\n", path.c_str());
-    }
-  }
-  return failures == 0 ? 0 : 1;
 }
 
 }  // namespace grub::bench

@@ -4,11 +4,9 @@
 // machine-readable BENCH_*.json artifacts next to today's text tables.
 //
 // Registration happens in namespace-scope initializers inside each bench TU.
-// Consuming executables list the bench .cpp files DIRECTLY in their sources
-// (no static library in between), so the initializers are never dropped by
-// the linker. The historical per-figure binaries keep working: each links
-// exactly its own bench TU plus standalone_main.cpp, which runs whatever is
-// registered in that binary.
+// grub-bench lists the bench .cpp files DIRECTLY in its sources (no static
+// library in between), so the initializers are never dropped by the linker.
+// `grub-bench --only NAME` runs one bench and prints its tables.
 #pragma once
 
 #include <functional>
@@ -60,12 +58,5 @@ telemetry::BenchReport RunBench(const BenchInfo& info,
 /// an empty string on I/O failure.
 std::string WriteReportFile(const std::string& dir, const std::string& stem,
                             const std::vector<telemetry::BenchReport>& reports);
-
-/// main() for the per-figure standalone binaries: runs every bench linked
-/// into the executable (exactly one for bench_fig*), printing the familiar
-/// text tables. `--json-out DIR` additionally writes BENCH_<name>.json,
-/// `--quick` runs the pinned quick config, `--no-timing` omits wall-clock
-/// fields. Returns non-zero if any bench reported failure.
-int StandaloneMain(int argc, char** argv);
 
 }  // namespace grub::bench

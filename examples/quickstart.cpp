@@ -11,7 +11,7 @@ int main() {
   using namespace grub;
 
   // 1. One GrubSystem = blockchain + storage-manager contract + untrusted
-  //    SP (with its embedded KV store) + SP watchdog + DO control plane.
+  //    SP (records + Merkle tree) + SP watchdog + DO control plane.
   //    The policy is pluggable; Algorithm 1 (memoryless, K=2) here.
   core::GrubSystem system(core::SystemOptions{},
                           std::make_unique<core::MemorylessPolicy>(2));

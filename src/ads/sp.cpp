@@ -7,6 +7,7 @@
 namespace grub::ads {
 
 AdsSp::AdsSp(const std::string& db_path) {
+  if (db_path.empty()) return;  // no backing store: nothing to recover
   auto db = kv::KVStore::Open(kv::Options{}, db_path);
   if (!db.ok()) {
     throw std::runtime_error("AdsSp: cannot open backing store: " +
@@ -41,7 +42,7 @@ size_t AdsSp::LowerBound(ByteSpan key) const {
 
 void AdsSp::PersistRecord(const FeedRecord& record) {
   // The KVStore persists the canonical encoding keyed by the record key.
-  (void)db_->Put(record.key, record.Serialize());
+  if (db_ != nullptr) (void)db_->Put(record.key, record.Serialize());
 }
 
 Result<Hash256> AdsSp::ApplyPutBatch(std::span<const FeedRecord> records) {
@@ -60,7 +61,7 @@ Status AdsSp::ApplyDelete(ByteSpan key) {
     return Status::NotFound("ApplyDelete: no such key");
   }
   EraseAt(records_, tree_, pos);
-  (void)db_->Delete(key);
+  if (db_ != nullptr) (void)db_->Delete(key);
   return Status::Ok();
 }
 

@@ -1,9 +1,11 @@
 // ADS_SP: the untrusted storage provider's side of the ADS protocol.
 //
 // Holds the authoritative off-chain copy of the feed: a key-sorted record
-// array mirrored into (a) a Merkle tree for proofs and (b) an embedded
-// KVStore (the LevelDB stand-in) for persistence. Serves point queries,
-// absence proofs, and range scans with completeness proofs (§3.3, B.2.2).
+// array mirrored into (a) a Merkle tree for proofs and, when the SP is given
+// a db path, (b) an embedded KVStore (the LevelDB stand-in) for persistence.
+// Without a path there is no backing store: the array and the tree are the
+// whole state. Serves point queries, absence proofs, and range scans with
+// completeness proofs (§3.3, B.2.2).
 // Updates arrive as batches and land in the tree with one incremental
 // MerkleTree::Update (ads/batch.h): records the batch does not touch are
 // never re-serialized or re-hashed.
@@ -29,16 +31,18 @@ namespace grub::ads {
 
 class AdsSp {
  public:
-  /// `db_path` empty = in-memory backing store. With a path, the SP
-  /// persists every record through the embedded KVStore and REBUILDS its
-  /// in-memory authenticated state (record array + Merkle tree) from it on
-  /// construction — an SP process restart keeps serving the same root.
+  /// `db_path` empty = no backing store (the in-memory record array and
+  /// tree only). With a path, the SP persists every record through the
+  /// embedded KVStore and REBUILDS its in-memory authenticated state
+  /// (record array + Merkle tree) from it on construction — an SP process
+  /// restart keeps serving the same root.
   explicit AdsSp(const std::string& db_path = "");
 
   /// Applies a DO-sent update batch (arrival order, last write per key
   /// wins): inserts new keys, overwrites existing ones (value and/or
-  /// replication state), and persists every record. Returns the new root,
-  /// which equals a tree built from scratch over the final records.
+  /// replication state), and persists every record when a backing store
+  /// is open. Returns the new root, which equals a tree built from scratch
+  /// over the final records.
   Result<Hash256> ApplyPutBatch(std::span<const FeedRecord> records);
 
   /// A one-record batch.
@@ -75,12 +79,6 @@ class AdsSp {
   /// Unproven read of a record (DO-side bootstrap / tests).
   Result<FeedRecord> Peek(ByteSpan key) const;
 
-  /// Forwards timing instruments to the embedded KVStore (no-op when the SP
-  /// runs without a backing store). Null detaches.
-  void SetMetrics(telemetry::MetricsRegistry* registry) {
-    if (db_ != nullptr) db_->SetMetrics(registry);
-  }
-
   /// Forwards the fault injector to the embedded KVStore's WAL/flush fault
   /// points (no-op when the SP runs without a backing store). Null detaches.
   void SetFaultInjector(fault::FaultInjector* faults) {
@@ -115,7 +113,7 @@ class AdsSp {
 
   std::vector<FeedRecord> records_;  // key-sorted, indices = leaf indices
   MerkleTree tree_;
-  std::unique_ptr<kv::KVStore> db_;
+  std::unique_ptr<kv::KVStore> db_;  // null = no db path, nothing persisted
   /// Hashed: consulted once per DO-observed read and per served request.
   std::unordered_map<Bytes, tier::StorageTier, BytesHash, BytesEqual>
       advisory_;

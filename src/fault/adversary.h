@@ -67,13 +67,11 @@ class SpAdversary {
   uint64_t Fires(AdversaryClass c) const {
     return injector_->Fires(PointName(c));
   }
+  /// Attack fires across all classes; GrubSystem::Robustness() adds them
+  /// to the run's fault_fires total.
   uint64_t TotalFires() const { return injector_->TotalFires(); }
 
   const std::string& Spec() const { return spec_; }
-
-  /// The backing injector (for SetMetrics wiring; fires surface as
-  /// fault.fires{point="adv.<class>"}).
-  FaultInjector& Injector() { return *injector_; }
 
  private:
   SpAdversary(std::string spec, std::unique_ptr<FaultInjector> injector)

@@ -2,8 +2,6 @@
 
 #include <cstdlib>
 
-#include "telemetry/metrics.h"
-
 namespace grub::fault {
 
 uint64_t Fnv1a(std::string_view s) {
@@ -172,18 +170,7 @@ bool FaultInjector::Fire(std::string_view point) {
       state.rule_fires[i] += 1;
     }
   }
-  if (fired) {
-    state.fires += 1;
-    if (metrics_ != nullptr) {
-      // Labeled handle resolved once per point, not per fire.
-      if (state.fires_counter == nullptr) {
-        state.fires_counter = &metrics_->GetCounter(
-            "fault.fires", {{"point", std::string(point)}});
-      }
-      state.fires_counter->Increment();
-      total_fires_counter_->Increment();
-    }
-  }
+  if (fired) state.fires += 1;
   return fired;
 }
 
@@ -209,14 +196,6 @@ std::map<std::string, uint64_t> FaultInjector::FireCounts() const {
     if (state.fires > 0) counts[name] = state.fires;
   }
   return counts;
-}
-
-void FaultInjector::SetMetrics(telemetry::MetricsRegistry* registry) {
-  metrics_ = registry;
-  total_fires_counter_ =
-      registry == nullptr ? nullptr : &registry->GetCounter("fault.fires_total");
-  // Cached labeled handles belong to the previous registry; drop them.
-  for (auto& [name, state] : points_) state.fires_counter = nullptr;
 }
 
 }  // namespace grub::fault

@@ -21,7 +21,8 @@
 // Multiple rules (comma-separated) may target the same point; the point
 // fires if ANY rule matches. A null injector is the off switch: the site
 // macro folds to one pointer test, and a null injector changes no Gas (the
-// `identity` ctest enforces it).
+// `identity` ctest enforces it). The injector's per-point hit and fire
+// counts are the only record of what fired.
 #pragma once
 
 #include <cstdint>
@@ -33,11 +34,6 @@
 
 #include "common/rng.h"
 #include "common/status.h"
-
-namespace grub::telemetry {
-class Counter;
-class MetricsRegistry;
-}  // namespace grub::telemetry
 
 namespace grub::fault {
 
@@ -79,7 +75,8 @@ class FaultInjector {
   uint64_t Hits(std::string_view point) const;
   /// Total fires at `point`.
   uint64_t Fires(std::string_view point) const;
-  /// Fires across all points.
+  /// Fires across all points (GrubSystem::Robustness() sums this over the
+  /// schedule injector and every replica's adversary injector).
   uint64_t TotalFires() const;
   /// Per-point fire counts, for end-of-run summaries.
   std::map<std::string, uint64_t> FireCounts() const;
@@ -87,20 +84,12 @@ class FaultInjector {
   const std::vector<FaultRule>& Rules() const { return rules_; }
   uint64_t seed() const { return seed_; }
 
-  /// Mirror fires into `fault.fires{point=...}` counters plus an unlabeled
-  /// `fault.fires_total` aggregate (the handle GatherRobustness caches — the
-  /// labeled family is created lazily per point and can't be enumerated
-  /// cheaply). Pass nullptr to detach. The registry must outlive the
-  /// injector.
-  void SetMetrics(telemetry::MetricsRegistry* registry);
-
  private:
   struct PointState {
     uint64_t hits = 0;
     uint64_t fires = 0;
     std::unique_ptr<Rng> rng;  // created lazily on first probabilistic draw
     std::vector<uint64_t> rule_fires;  // parallel to rules_, lazily sized
-    telemetry::Counter* fires_counter = nullptr;  // cached labeled handle
   };
 
   PointState& StateOf(std::string_view point);
@@ -108,8 +97,6 @@ class FaultInjector {
   uint64_t seed_;
   std::vector<FaultRule> rules_;
   std::map<std::string, PointState, std::less<>> points_;
-  telemetry::MetricsRegistry* metrics_ = nullptr;
-  telemetry::Counter* total_fires_counter_ = nullptr;
 };
 
 }  // namespace grub::fault

@@ -16,39 +16,12 @@ DoClient::DoClient(chain::Blockchain& chain, shard::ShardedAdsSp& sp,
       policy_(std::move(policy)),
       ads_do_(sp.Map(), ToBytes("grub-do-signing-key")),
       tracker_(options.storage_manager) {
-  auto db = kv::KVStore::Open(kv::Options{}, "");
-  if (!db.ok()) throw std::runtime_error("DoClient: value cache open failed");
-  value_cache_ = std::move(db).value();
   per_shard_update_gas_.assign(sp_.ShardCount(), 0);
 }
 
-void DoClient::SetMetrics(telemetry::MetricsRegistry* registry) {
-  if (registry == nullptr) {
-    flips_nr_to_r_ = flips_r_to_nr_ = nullptr;
-    update_retries_counter_ = reemits_counter_ = nullptr;
-    degraded_gauge_ = nullptr;
-    return;
-  }
-  flips_nr_to_r_ = &registry->GetCounter(
-      "do.replication_flips",
-      {{"policy", policy_->Name()}, {"direction", "nr_to_r"}});
-  flips_r_to_nr_ = &registry->GetCounter(
-      "do.replication_flips",
-      {{"policy", policy_->Name()}, {"direction", "r_to_nr"}});
-  update_retries_counter_ = &registry->GetCounter("do.update_retries");
-  reemits_counter_ = &registry->GetCounter("do.watchdog_reemits");
-  degraded_gauge_ = &registry->GetGauge("do.degraded");
-}
-
 void DoClient::NoteFlip(ads::ReplState before, ads::ReplState after) {
-  if (before == after) return;
-  if (workload_ != nullptr) workload_->OnFlip(after == ads::ReplState::kR);
-  if (flips_nr_to_r_ == nullptr) return;
-  if (after == ads::ReplState::kR) {
-    flips_nr_to_r_->Increment();
-  } else {
-    flips_r_to_nr_->Increment();
-  }
+  if (before == after || workload_ == nullptr) return;
+  workload_->OnFlip(after == ads::ReplState::kR);
 }
 
 void DoClient::EnsureEpochSpan() {
@@ -115,18 +88,15 @@ void DoClient::NoteRead(const Bytes& key) {
   touched_.insert(key);
 }
 
-Result<Bytes> DoClient::CachedValue(const Bytes& key) const {
-  return value_cache_->Get(key);
-}
-
 void DoClient::Preload(const std::vector<std::pair<Bytes, Bytes>>& records) {
   auto& genesis = chain_.MutableStorageOf(options_.storage_manager);
   std::vector<ads::FeedRecord> feed_records;
   feed_records.reserve(records.size());
+  value_cache_.reserve(value_cache_.size() + records.size());
   for (const auto& [key, value] : records) {
     const ads::ReplState state = policy_->StateOf(key);
     feed_records.push_back(ads::FeedRecord{key, value, state});
-    (void)value_cache_->Put(key, value);
+    value_cache_[key] = value;
     // Genesis-warm the contract slots (converged-cost methodology: the
     // measured run charges update-rate re-replication, never the one-time
     // cold inserts). Always-R policies start with live replicas, matching
@@ -218,7 +188,7 @@ chain::Receipt DoClient::EndEpoch() {
     const ads::ReplState state = policy_->StateOf(write.key);
     batches[sp_.Map().ShardOf(write.key)].push_back(
         ads::FeedRecord{write.key, write.value, state});
-    (void)value_cache_->Put(write.key, write.value);
+    value_cache_[write.key] = write.value;
   }
   for (uint32_t s = 0; s < shard_count; ++s) {
     if (batches[s].empty()) continue;
@@ -471,9 +441,6 @@ chain::Receipt DoClient::SubmitUpdate(Bytes calldata,
   for (uint64_t attempt = 1; attempt <= kMaxUpdateAttempts; ++attempt) {
     if (attempt > 1) {
       update_retries_ += 1;
-      if (update_retries_counter_ != nullptr) {
-        update_retries_counter_->Increment();
-      }
       if (tracer_ != nullptr && trace_span != 0) {
         tracer_->Annotate(trace_span, "update.retry",
                           chain_.CurrentBlockNumber(),
@@ -563,7 +530,6 @@ void DoClient::CheckReadLiveness() {
     }
     tracker_.Erase(req.log_index);
     watchdog_reemits_ += 1;
-    if (reemits_counter_ != nullptr) reemits_counter_->Increment();
   }
 }
 
@@ -577,13 +543,12 @@ void DoClient::Degrade(const std::vector<PendingRequest>& stale) {
   for (const auto& req : stale) {
     if (req.is_scan) continue;
     if (replicas_on_chain_.count(req.key)) continue;
-    auto value = CachedValue(req.key);
-    if (!value.ok()) continue;  // absent key: nothing to replicate
+    const auto cached = value_cache_.find(req.key);
+    if (cached == value_cache_.end()) continue;  // absent: nothing to pin
     forced.push_back(
-        ads::FeedRecord{req.key, std::move(value).value(), ads::ReplState::kR});
+        ads::FeedRecord{req.key, cached->second, ads::ReplState::kR});
   }
   degraded_ = true;
-  if (degraded_gauge_ != nullptr) degraded_gauge_->Set(1);
   if (tracer_ != nullptr) {
     tracer_->GlobalEvent("do.degrade", chain_.CurrentBlockNumber(),
                          "forced=" + std::to_string(forced.size()));
@@ -613,7 +578,6 @@ void DoClient::Degrade(const std::vector<PendingRequest>& stale) {
 void DoClient::Undegrade() {
   degraded_ = false;
   stale_rounds_ = 0;
-  if (degraded_gauge_ != nullptr) degraded_gauge_->Set(0);
   if (tracer_ != nullptr) {
     tracer_->GlobalEvent("do.undegrade", chain_.CurrentBlockNumber());
   }

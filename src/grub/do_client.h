@@ -22,10 +22,17 @@
 // where the Ctx(X) calldata bound requires. The shard-root section appears
 // in the calldata only with more than one shard, so a single-tree
 // deployment sends the paper's update() byte for byte.
+//
+// The DO's robustness counters (update retries, watchdog re-emits, the
+// degraded flag) and its placement counters are the only copy of those
+// counts: grubctl and GrubSystem::Robustness() read them here. Policy flips
+// are counted by the workload monitor and, with tracing on, recorded as the
+// tracer's flip audit records.
 #pragma once
 
 #include <array>
 #include <set>
+#include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
@@ -34,9 +41,7 @@
 #include "grub/policy.h"
 #include "grub/request_tracker.h"
 #include "grub/storage_manager.h"
-#include "kvstore/db.h"
 #include "shard/forest.h"
-#include "telemetry/metrics.h"
 #include "telemetry/tracing.h"
 #include "telemetry/workload_monitor.h"
 
@@ -150,13 +155,6 @@ class DoClient {
   uint64_t update_retries() const { return update_retries_; }
   uint64_t watchdog_reemits() const { return watchdog_reemits_; }
 
-  /// Installs replication-decision counters, labeled by the policy's name:
-  /// do.replication_flips{policy,direction=nr_to_r|r_to_nr} counts per-key
-  /// state transitions as the monitor observes the workload, plus the
-  /// robustness instruments (do.update_retries, do.watchdog_reemits
-  /// counters; do.degraded gauge). Null detaches.
-  void SetMetrics(telemetry::MetricsRegistry* registry);
-
   /// Installs the fault injector consulted at the DO's fault points
   /// (do.update.drop). Null detaches.
   void SetFaultInjector(fault::FaultInjector* faults) { faults_ = faults; }
@@ -221,9 +219,8 @@ class DoClient {
   void Degrade(const std::vector<PendingRequest>& stale);
   /// Leaves degraded mode; forced keys return to policy control.
   void Undegrade();
-  Result<Bytes> CachedValue(const Bytes& key) const;
-  /// Compares a key's policy state before/after an Observe and bumps the
-  /// matching flip counter (no-op without metrics).
+  /// Compares a key's policy state before/after an Observe and reports a
+  /// flip to the workload monitor (no-op without one).
   void NoteFlip(ads::ReplState before, ads::ReplState after);
 
   chain::Blockchain& chain_;
@@ -232,9 +229,9 @@ class DoClient {
   std::unique_ptr<ReplicationPolicy> policy_;
   shard::ShardedAdsDo ads_do_;
 
-  // DO-local copy of current values (it produced them), in the embedded
-  // KVStore — used to re-encode records on state-only flips.
-  std::unique_ptr<kv::KVStore> value_cache_;
+  // DO-local copy of every key's current value (it produced them). Its one
+  // reader is Degrade, which force-replicates starved keys with these values.
+  std::unordered_map<Bytes, Bytes, BytesHash, BytesEqual> value_cache_;
 
   struct BufferedWrite {
     Bytes key;
@@ -267,13 +264,6 @@ class DoClient {
   uint64_t log_unpins_ = 0;   // digest pins dropped (keys leaving the tier)
   size_t last_epoch_touched_shards_ = 0;
   std::vector<uint64_t> per_shard_update_gas_;  // indexed by shard
-
-  // Cached instruments (null = telemetry off).
-  telemetry::Counter* flips_nr_to_r_ = nullptr;
-  telemetry::Counter* flips_r_to_nr_ = nullptr;
-  telemetry::Counter* update_retries_counter_ = nullptr;
-  telemetry::Counter* reemits_counter_ = nullptr;
-  telemetry::Gauge* degraded_gauge_ = nullptr;
 };
 
 }  // namespace grub::core

@@ -1,32 +1,13 @@
 #include "grub/sp_daemon.h"
 
-#include <chrono>
 #include <map>
 #include <tuple>
 
 #include "chain/abi.h"
 #include "chain/gas.h"
 #include "crypto/sha256.h"
-#include "telemetry/timer.h"
 
 namespace grub::core {
-
-void SpDaemon::SetMetrics(telemetry::MetricsRegistry* registry) {
-  if (registry == nullptr) {
-    poll_seconds_ = prove_seconds_ = deliver_seconds_ = nullptr;
-    requests_served_ = delivers_counter_ = retries_counter_ = nullptr;
-    rejections_counter_ = nullptr;
-    return;
-  }
-  auto bounds = telemetry::DefaultLatencyBounds();
-  poll_seconds_ = &registry->GetHistogram("sp.poll_seconds", {}, bounds);
-  prove_seconds_ = &registry->GetHistogram("sp.prove_seconds", {}, bounds);
-  deliver_seconds_ = &registry->GetHistogram("sp.deliver_seconds", {}, bounds);
-  requests_served_ = &registry->GetCounter("sp.requests_served");
-  delivers_counter_ = &registry->GetCounter("sp.delivers_sent");
-  retries_counter_ = &registry->GetCounter("sp.deliver_retries");
-  rejections_counter_ = &registry->GetCounter("sp.deliver_rejections");
-}
 
 void SpDaemon::RecoverCursor() {
   // The in-memory cursor is disposable: the chain itself records which
@@ -141,7 +122,6 @@ void SpDaemon::MutateEntries(std::vector<DeliverEntry>& entries) {
 }
 
 size_t SpDaemon::PollAndServe() {
-  telemetry::TimerSpan poll_timer(poll_seconds_);
   last_outcome_ = DeliverOutcome::kIdle;
   if (GRUB_FAULT_POINT(faults_, "sp.crash")) {
     // Crash/restart: the process dies between polls and comes back with no
@@ -182,9 +162,6 @@ size_t SpDaemon::PollAndServe() {
     EncodeDeliverEntry(w, entry);
     return w.Take().size();
   };
-  // Like TimerSpan: a null histogram never reads the clock.
-  std::chrono::steady_clock::time_point prove_start;
-  if (prove_seconds_ != nullptr) prove_start = std::chrono::steady_clock::now();
   for (const auto& event : events) {
     if (event.contract != manager_) continue;
     if (event.name == StorageManagerContract::kRequestScanEvent) {
@@ -283,13 +260,6 @@ size_t SpDaemon::PollAndServe() {
     }
     entries.push_back(std::move(entry));
   }
-  if (prove_seconds_ != nullptr && !events.empty()) {
-    prove_seconds_->Record(
-        std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                      prove_start)
-            .count());
-  }
-
   if (entries.empty()) return 0;
   size_t served = 0;
   for (const auto& entry : entries) served += entry.repeats;
@@ -366,7 +336,6 @@ size_t SpDaemon::PollAndServe() {
     consecutive_failures_ += 1;
     deliver_rejections_ += 1;
     last_outcome_ = DeliverOutcome::kRejected;
-    if (rejections_counter_ != nullptr) rejections_counter_->Increment();
     if (tracer_ != nullptr) {
       tracer_->Annotate(deliver_span, "deliver.quarantined",
                         chain_.CurrentBlockNumber());
@@ -384,7 +353,6 @@ size_t SpDaemon::PollAndServe() {
   for (uint64_t attempt = 1; attempt <= kMaxDeliverAttempts; ++attempt) {
     if (attempt > 1) {
       deliver_retries_ += 1;
-      if (retries_counter_ != nullptr) retries_counter_->Increment();
       if (tracer_ != nullptr) {
         tracer_->Annotate(deliver_span, "deliver.retry",
                           chain_.CurrentBlockNumber(),
@@ -409,10 +377,7 @@ size_t SpDaemon::PollAndServe() {
     tx.cause = telemetry::GasCause::kDeliver;
     tx.calldata = calldata;
     tx.trace_id = deliver_span;
-    {
-      telemetry::TimerSpan deliver_timer(deliver_seconds_);
-      receipt = chain_.SubmitAndMine(std::move(tx));
-    }
+    receipt = chain_.SubmitAndMine(std::move(tx));
     if (chain::IsDroppedReceipt(receipt)) continue;  // lost in the mempool
     included = true;
     break;
@@ -442,7 +407,6 @@ size_t SpDaemon::PollAndServe() {
     deliver_rejections_ += 1;
     last_outcome_ = DeliverOutcome::kRejected;
     last_rejected_digest_ = Sha256::Digest(calldata);
-    if (rejections_counter_ != nullptr) rejections_counter_->Increment();
     if (tracer_ != nullptr) {
       tracer_->Annotate(deliver_span, "deliver.rejected",
                         chain_.CurrentBlockNumber());
@@ -459,8 +423,6 @@ size_t SpDaemon::PollAndServe() {
   last_outcome_ = DeliverOutcome::kServed;
   last_rejected_digest_.reset();
   if (adversary_ != nullptr) last_good_calldata_ = calldata;
-  if (requests_served_ != nullptr) requests_served_->Increment(served);
-  if (delivers_counter_ != nullptr) delivers_counter_->Increment();
   if (workload_ != nullptr) {
     workload_->OnDeliver(entries.size(), chain_.CurrentBlockNumber());
   }

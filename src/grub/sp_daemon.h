@@ -14,6 +14,11 @@
 // outstanding requests. Deliver submission retries with deterministic
 // exponential backoff when the transaction is lost; a rejected deliver rolls
 // the cursor back so the next poll rebuilds fresh proofs.
+//
+// The daemon's counters (delivers sent, deliver retries and rejections,
+// digest entries served) are the only copy of those counts: grubctl, the
+// quorum's JSON summary and GrubSystem::Robustness() read them here. The
+// daemon reads no clock; perfbench times the serve path from outside.
 #pragma once
 
 #include <optional>
@@ -25,7 +30,6 @@
 #include "fault/injector.h"
 #include "grub/request_tracker.h"
 #include "grub/storage_manager.h"
-#include "telemetry/metrics.h"
 #include "telemetry/tracing.h"
 #include "telemetry/workload_monitor.h"
 
@@ -90,12 +94,6 @@ class SpDaemon {
   /// How the most recent PollAndServe ended.
   DeliverOutcome last_outcome() const { return last_outcome_; }
 
-  /// Installs wall-clock/throughput instruments for the poll -> prove ->
-  /// deliver pipeline (sp.poll_seconds, sp.prove_seconds,
-  /// sp.deliver_seconds histograms; sp.requests_served, sp.delivers_sent,
-  /// sp.deliver_retries counters). Null detaches.
-  void SetMetrics(telemetry::MetricsRegistry* registry);
-
   /// Installs the fault injector consulted at the daemon's fault points
   /// (sp.crash, sp.deliver.drop, sp.proof.corrupt). Null detaches.
   void SetFaultInjector(fault::FaultInjector* faults) { faults_ = faults; }
@@ -114,7 +112,7 @@ class SpDaemon {
   /// Arms this replica with a Byzantine behaviour model (null = honest; a
   /// null adversary changes no Gas).
   void SetAdversary(fault::SpAdversary* adversary) { adversary_ = adversary; }
-  fault::SpAdversary* Adversary() { return adversary_; }
+  const fault::SpAdversary* Adversary() const { return adversary_; }
 
   /// Failover entry point: a standby promoted to active re-derives its
   /// cursor from chain state and forgets the no-resend quarantine (its own
@@ -176,15 +174,6 @@ class SpDaemon {
   std::unordered_map<Bytes, ads::QueryProof, BytesHash, BytesEqual>
       stale_proofs_;
   Bytes last_good_calldata_;
-
-  // Cached instruments (null = telemetry off).
-  telemetry::Histogram* poll_seconds_ = nullptr;
-  telemetry::Histogram* prove_seconds_ = nullptr;
-  telemetry::Histogram* deliver_seconds_ = nullptr;
-  telemetry::Counter* requests_served_ = nullptr;
-  telemetry::Counter* delivers_counter_ = nullptr;
-  telemetry::Counter* retries_counter_ = nullptr;
-  telemetry::Counter* rejections_counter_ = nullptr;
 };
 
 }  // namespace grub::core

@@ -53,24 +53,6 @@ void SpQuorum::SetFaultInjector(fault::FaultInjector* faults) {
   for (ReplicaState& rep : replicas_) rep.daemon->SetFaultInjector(faults);
 }
 
-void SpQuorum::SetMetrics(telemetry::MetricsRegistry* registry) {
-  for (ReplicaState& rep : replicas_) {
-    rep.daemon->SetMetrics(registry);
-    if (rep.adversary != nullptr) rep.adversary->Injector().SetMetrics(registry);
-  }
-  if (registry == nullptr) {
-    failovers_counter_ = blacklists_counter_ = nullptr;
-    active_gauge_ = nullptr;
-    detection_blocks_ = nullptr;
-    return;
-  }
-  failovers_counter_ = &registry->GetCounter("quorum.failovers");
-  blacklists_counter_ = &registry->GetCounter("quorum.blacklists");
-  active_gauge_ = &registry->GetGauge("quorum.active_sp");
-  detection_blocks_ = &registry->GetHistogram(
-      "quorum.detection_blocks", {}, {0.0, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0});
-}
-
 void SpQuorum::SetTracer(telemetry::Tracer* tracer) {
   tracer_ = tracer;
   for (ReplicaState& rep : replicas_) rep.daemon->SetTracer(tracer);
@@ -85,11 +67,6 @@ void SpQuorum::Blacklist(const char* reason) {
   rep.trust = SpTrust::kBlacklisted;
   rep.blacklisted_count += 1;
   blacklists_ += 1;
-  if (blacklists_counter_ != nullptr) blacklists_counter_->Increment();
-  if (detection_blocks_ != nullptr && rep.first_rejection_block != 0) {
-    detection_blocks_->Record(static_cast<double>(
-        chain_.CurrentBlockNumber() - rep.first_rejection_block));
-  }
   if (tracer_ != nullptr) {
     tracer_->GlobalEvent("quorum.blacklist", chain_.CurrentBlockNumber(),
                          "sp=" + std::to_string(active_) +
@@ -129,10 +106,6 @@ bool SpQuorum::Failover() {
   replicas_[active_].trust = SpTrust::kActive;
   replicas_[active_].daemon->Reactivate();
   failovers_ += 1;
-  if (failovers_counter_ != nullptr) failovers_counter_->Increment();
-  if (active_gauge_ != nullptr) {
-    active_gauge_->Set(static_cast<int64_t>(active_));
-  }
   if (tracer_ != nullptr) {
     tracer_->GlobalEvent("quorum.failover", chain_.CurrentBlockNumber(),
                          "sp=" + std::to_string(active_));
@@ -171,9 +144,6 @@ size_t SpQuorum::PollAndServe() {
     served += rep.daemon->PollAndServe();
     if (replicas_.size() == 1) return served;  // pass-through: no coordinator
     if (rep.daemon->last_outcome() != DeliverOutcome::kRejected) break;
-    if (rep.rejections == 0) {
-      rep.first_rejection_block = chain_.CurrentBlockNumber();
-    }
     rep.rejections += 1;
     if (rep.rejections < options_.blacklist_after_rejections) break;
     Blacklist("rejections");

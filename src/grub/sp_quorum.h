@@ -26,6 +26,10 @@
 // A single-replica quorum is a strict pass-through: no tracker, no
 // failover state, bit-identical Gas and behaviour to a bare SpDaemon (the
 // CI byte-identity gate pins this).
+//
+// Failovers(), Blacklists() and the per-replica rejection and blacklist
+// counts are the coordinator's only record of its decisions: ToJson,
+// grubctl and GrubSystem::Robustness() read them here.
 #pragma once
 
 #include <memory>
@@ -99,10 +103,6 @@ class SpQuorum {
   /// Forwards the accident-model injector to every replica (the Byzantine
   /// model rides separately via the per-replica adversaries).
   void SetFaultInjector(fault::FaultInjector* faults);
-  /// Wires instruments: per-daemon pipelines plus quorum.failovers,
-  /// quorum.blacklists, quorum.active_sp and the quorum.detection_blocks
-  /// histogram (blocks from first rejection to blacklist).
-  void SetMetrics(telemetry::MetricsRegistry* registry);
   void SetTracer(telemetry::Tracer* tracer);
   /// Forwards the workload observatory to every replica daemon (served
   /// deliver batches feed the monitor regardless of which replica is
@@ -120,7 +120,6 @@ class SpQuorum {
     chain::Address account = chain::kNullAddress;
     SpTrust trust = SpTrust::kStandby;
     uint64_t rejections = 0;
-    uint64_t first_rejection_block = 0;
     uint64_t blacklisted_count = 0;
   };
 
@@ -140,12 +139,6 @@ class SpQuorum {
   uint64_t last_oldest_pending_ = 0;
   uint64_t stall_polls_ = 0;
   telemetry::Tracer* tracer_ = nullptr;  // not owned; may be null
-
-  // Cached instruments (null = telemetry off).
-  telemetry::Counter* failovers_counter_ = nullptr;
-  telemetry::Counter* blacklists_counter_ = nullptr;
-  telemetry::Gauge* active_gauge_ = nullptr;
-  telemetry::Histogram* detection_blocks_ = nullptr;
 };
 
 }  // namespace grub::core

@@ -55,7 +55,6 @@ GrubSystem::GrubSystem(SystemOptions options,
                                   injector.status().ToString());
     }
     faults_ = std::move(injector).value();
-    if (telemetry_ != nullptr) faults_->SetMetrics(&telemetry_->Registry());
     chain_.SetFaultInjector(faults_.get());
   }
   AddFeed(options_, std::move(policy));
@@ -102,11 +101,6 @@ size_t GrubSystem::AddFeed(const FeedOptions& options,
       chain_, feed->sp_, feed->manager_address_, kSpAccount + shift,
       quorum_options, options.dedup_deliver_batch);
 
-  if (telemetry_ != nullptr) {
-    feed->sp_.SetMetrics(&telemetry_->Registry());
-    feed->do_client_->SetMetrics(&telemetry_->Registry());
-    feed->quorum_->SetMetrics(&telemetry_->Registry());
-  }
   if (telemetry::Tracer* tracer = Tracing()) {
     feed->consumer_->SetTracer(tracer);
     feed->quorum_->SetTracer(tracer);
@@ -138,6 +132,28 @@ uint64_t GrubSystem::FeedGas(size_t feed) const {
   const Feed& f = FeedAt(feed);
   return chain_.GasUsedBy(f.manager_address_) +
          chain_.GasUsedBy(f.consumer_address_);
+}
+
+telemetry::RobustnessTotals GrubSystem::Robustness() const {
+  telemetry::RobustnessTotals totals;
+  if (faults_ != nullptr) totals.fault_fires = faults_->TotalFires();
+  for (const auto& feed : feeds_) {
+    const DoClient& do_client = *feed->do_client_;
+    const SpQuorum& quorum = *feed->quorum_;
+    totals.retries += do_client.update_retries();
+    totals.watchdog_reemits += do_client.watchdog_reemits();
+    if (do_client.degraded()) totals.degraded = 1;
+    totals.sp_failovers += quorum.Failovers();
+    for (size_t i = 0; i < quorum.ReplicaCount(); ++i) {
+      const SpDaemon& daemon = quorum.Replica(i);
+      totals.retries += daemon.deliver_retries();
+      totals.deliver_rejections += daemon.deliver_rejections();
+      if (daemon.Adversary() != nullptr) {
+        totals.fault_fires += daemon.Adversary()->TotalFires();
+      }
+    }
+  }
+  return totals;
 }
 
 void GrubSystem::Preload(const std::vector<std::pair<Bytes, Bytes>>& records) {
@@ -410,8 +426,9 @@ void GrubSystem::CloseEpoch(Feed& feed, DriveState& state) {
       epoch_price.exec_milli = p.exec_milli;
       epoch_price.storage_milli = p.storage_milli;
     }
-    telemetry_->CloseEpoch(state.ops_in_epoch, epoch.touched_shards,
-                           std::move(shard_heat), epoch_price);
+    telemetry_->CloseEpoch(state.ops_in_epoch, Robustness(),
+                           epoch.touched_shards, std::move(shard_heat),
+                           epoch_price);
   }
   state.epochs.push_back(epoch);
   state.epoch_start_gas = chain_.TotalGasUsed();

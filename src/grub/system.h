@@ -2,8 +2,8 @@
 // every experiment.
 //
 // A feed is one deployment of Fig. 4: the StorageManagerContract, a generic
-// ConsumerContract (DU), the SP-side forest (AdsSp shards with their
-// embedded KVStore), the SpQuorum of watchdog daemons, and the DoClient
+// ConsumerContract (DU), the SP-side forest (AdsSp shards; a KVStore only
+// with an `sp_db_path`), the SpQuorum of watchdog daemons, and the DoClient
 // control plane with a pluggable ReplicationPolicy. The constructor deploys
 // feed 0, which every single-feed call site means; AddFeed deploys more on
 // the SAME chain. Feeds are isolated by construction (disjoint contracts,
@@ -73,7 +73,9 @@ struct FeedOptions {
   /// Merge duplicate requests within one deliver batch (ablation; the
   /// paper's prototype serves each request individually).
   bool dedup_deliver_batch = false;
-  /// Empty = in-memory SP store; feeds of one system need distinct paths.
+  /// The SP's persistent backing store. Empty = none (the SP keeps its
+  /// records and trees in memory only); feeds of one system need distinct
+  /// paths.
   std::string sp_db_path;
   /// Number of key-range shards in the Merkle forest. 1 (the default) is the
   /// legacy single-tree deployment, bit-identical in Gas and calldata. With
@@ -111,9 +113,9 @@ struct FeedOptions {
 /// The system-wide knobs, plus feed 0's (inherited).
 struct SystemOptions : FeedOptions {
   chain::ChainParams chain_params = {};
-  /// Attach a Telemetry bundle: Gas attribution on the chain, per-epoch
-  /// snapshots in Drive, wall-clock instruments on SP/KV/DO. Off by default
-  /// — enabling it never changes Gas results (asserted in tests).
+  /// Attach a Telemetry bundle: Gas attribution on the chain and per-epoch
+  /// snapshots in Drive. Off by default — enabling it never changes Gas
+  /// results (asserted in tests).
   bool enable_telemetry = false;
   /// Attach the request-scoped Tracer (implies a Telemetry bundle): spans
   /// per gGet/gScan/deliver/epoch, policy-flip audit records, Chrome
@@ -195,6 +197,13 @@ class GrubSystem {
   const Feed& FeedAt(size_t feed) const { return *feeds_.at(feed); }
   /// Gas metered to one feed's two contracts since the last counter reset.
   uint64_t FeedGas(size_t feed) const;
+  /// The run's cumulative robustness counts, summed over every feed and
+  /// every SP replica from the components' own counters: fault fires of the
+  /// schedule injector and of each replica's adversary, deliver plus update
+  /// retries, watchdog re-emits, deliver rejections and SP failovers;
+  /// `degraded` is 1 while any feed's DO is degraded. The epoch series'
+  /// robustness columns and grubctl's robustness section read these.
+  telemetry::RobustnessTotals Robustness() const;
 
   /// Bulk-loads records into feed 0 and zeroes the Gas counters.
   void Preload(const std::vector<std::pair<Bytes, Bytes>>& records);

@@ -4,26 +4,10 @@
 #include <fstream>
 
 #include "telemetry/profile.h"
-#include "telemetry/timer.h"
 
 namespace grub::kv {
 
 namespace fs = std::filesystem;
-
-void KVStore::SetMetrics(telemetry::MetricsRegistry* registry) {
-  if (registry == nullptr) {
-    put_seconds_ = scan_seconds_ = wal_sync_seconds_ = nullptr;
-    flush_counter_ = compaction_counter_ = nullptr;
-    return;
-  }
-  auto bounds = telemetry::DefaultLatencyBounds();
-  put_seconds_ = &registry->GetHistogram("kv.put_seconds", {}, bounds);
-  scan_seconds_ = &registry->GetHistogram("kv.scan_seconds", {}, bounds);
-  wal_sync_seconds_ =
-      &registry->GetHistogram("kv.wal_sync_seconds", {}, bounds);
-  flush_counter_ = &registry->GetCounter("kv.flushes");
-  compaction_counter_ = &registry->GetCounter("kv.compactions");
-}
 
 std::string KVStore::RunPath(uint64_t id) const {
   return path_ + "/run-" + std::to_string(id) + ".sst";
@@ -105,7 +89,6 @@ Status KVStore::LogWrite(const WalRecord& record) {
   Status s = wal_->Append(record);
   if (!s.ok()) return s;
   if (options_.sync_writes) {
-    telemetry::TimerSpan sync_timer(wal_sync_seconds_);
     if (GRUB_FAULT_POINT(faults_, "kv.wal.sync_fail")) {
       return Status::Unavailable("fault: WAL fsync failed");
     }
@@ -116,7 +99,6 @@ Status KVStore::LogWrite(const WalRecord& record) {
 
 Status KVStore::Put(ByteSpan key, ByteSpan value) {
   GRUB_PROBE(telemetry::ProbeSite::kKvPut);
-  telemetry::TimerSpan put_timer(put_seconds_);
   WalRecord record{.is_delete = false,
                    .key = Bytes(key.begin(), key.end()),
                    .value = Bytes(value.begin(), value.end())};
@@ -153,7 +135,6 @@ Result<Bytes> KVStore::Get(ByteSpan key) const {
 
 std::vector<KVPair> KVStore::Scan(ByteSpan start, ByteSpan end,
                                   size_t limit) const {
-  telemetry::TimerSpan scan_timer(scan_seconds_);
   std::vector<KVPair> out;
   auto it = NewIterator();
   it->Seek(start);
@@ -184,7 +165,6 @@ Status KVStore::MaybeFlush() {
 
 Status KVStore::Flush() {
   if (memtable_.Empty()) return Status::Ok();
-  if (flush_counter_ != nullptr) flush_counter_->Increment();
 
   std::vector<TableEntry> entries;
   entries.reserve(memtable_.EntryCount());
@@ -236,7 +216,6 @@ Status KVStore::Flush() {
 }
 
 Status KVStore::Compact() {
-  if (compaction_counter_ != nullptr) compaction_counter_->Increment();
   // Merge all runs into one, dropping tombstones (full compaction).
   std::vector<std::unique_ptr<Iterator>> children;
   for (const auto& run : runs_) children.push_back(run->NewIterator());

@@ -8,8 +8,12 @@
 // Read path: memtable, then runs newest-first. Scans use a MergingIterator
 // across all levels with tombstone suppression.
 //
-// A KVStore can be purely in-memory (empty `path`), which the simulations use
-// for speed; with a path it persists and recovers across Open() calls.
+// With a path the store persists and recovers across Open() calls; the SP
+// opens one as its backing store only when given a db path (ads/sp.h). An
+// empty `path` gives a purely in-memory store, which nothing on the
+// simulation path opens. The store keeps no counters or timers of its own:
+// the `kv.get`/`kv.put` profiling probes (telemetry/profile.h) are its only
+// instruments.
 #pragma once
 
 #include <memory>
@@ -24,7 +28,6 @@
 #include "kvstore/memtable.h"
 #include "kvstore/sstable.h"
 #include "kvstore/wal.h"
-#include "telemetry/metrics.h"
 
 namespace grub::kv {
 
@@ -64,12 +67,6 @@ class KVStore {
 
   size_t RunCount() const { return runs_.size(); }
 
-  /// Installs wall-clock instruments on the hot paths (kv.put_seconds,
-  /// kv.scan_seconds, kv.wal_sync_seconds histograms; kv.flushes,
-  /// kv.compactions counters). Null detaches. Purely observational: the
-  /// store's behaviour is identical with metrics on or off.
-  void SetMetrics(telemetry::MetricsRegistry* registry);
-
   /// Installs the fault injector consulted at the store's fault points:
   /// kv.wal.append_fail, kv.wal.torn, kv.wal.sync_fail (LogWrite) and
   /// kv.sstable.partial_flush (Flush). Null detaches. Points only engage a
@@ -96,13 +93,6 @@ class KVStore {
   uint64_t next_run_id_ = 1;
   std::optional<WalWriter> wal_;
   fault::FaultInjector* faults_ = nullptr;  // not owned; may be null
-
-  // Cached instruments (null = telemetry off).
-  telemetry::Histogram* put_seconds_ = nullptr;
-  telemetry::Histogram* scan_seconds_ = nullptr;
-  telemetry::Histogram* wal_sync_seconds_ = nullptr;
-  telemetry::Counter* flush_counter_ = nullptr;
-  telemetry::Counter* compaction_counter_ = nullptr;
 };
 
 /// Wraps a MergingIterator, hiding tombstones — the public scan view.

@@ -146,10 +146,6 @@ size_t ShardedAdsSp::RecordCount() const {
   return n;
 }
 
-void ShardedAdsSp::SetMetrics(telemetry::MetricsRegistry* registry) {
-  for (auto& shard : shards_) shard->SetMetrics(registry);
-}
-
 void ShardedAdsSp::SetFaultInjector(fault::FaultInjector* faults) {
   for (auto& shard : shards_) shard->SetFaultInjector(faults);
 }

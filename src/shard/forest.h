@@ -96,7 +96,6 @@ class ShardedAdsSp {
   Hash256 RootOfRoots() const;
   size_t RecordCount() const;
 
-  void SetMetrics(telemetry::MetricsRegistry* registry);
   void SetFaultInjector(fault::FaultInjector* faults);
 
  private:

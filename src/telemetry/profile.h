@@ -9,9 +9,10 @@
 //   GRUB_PROBE(ProbeSite::kMerkleRebuild);
 //   ... the hot work ...                       // records on scope exit
 //
-// Contract, same as TimerSpan: wall-clock only ever flows into reports,
-// never into simulation state. Probes are off by default; a disabled probe
-// costs one relaxed atomic load and never reads the clock.
+// This table is the one in-program wall-clock instrument (perfbench times
+// the layers from outside). Wall-clock only ever flows into reports, never
+// into simulation state. Probes are off by default; a disabled probe costs
+// one relaxed atomic load and never reads the clock.
 //
 // Timing is SAMPLED: every hit bumps the site's count (one relaxed
 // fetch_add), but only one hit in kSampleEvery reads the clock — sha256

@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "fault/injector.h"
-#include "telemetry/metrics.h"
 
 namespace grub::fault {
 namespace {
@@ -130,14 +129,6 @@ TEST(FaultInjector, ParseToleratesWhitespaceAndEmptyRules) {
   EXPECT_EQ(inj->Rules().size(), 2u);
   EXPECT_EQ(inj->Rules()[0].point, "a");
   EXPECT_EQ(inj->Rules()[1].point, "b");
-}
-
-TEST(FaultInjector, MirrorsFiresIntoMetricsRegistry) {
-  telemetry::MetricsRegistry registry;
-  auto inj = Parse("p%2");
-  inj->SetMetrics(&registry);
-  FireString(*inj, "p", 6);
-  EXPECT_EQ(registry.GetCounter("fault.fires", {{"point", "p"}}).Value(), 3u);
 }
 
 TEST(FaultInjector, MacroTreatsNullInjectorAsNoFault) {

@@ -31,7 +31,6 @@ GrubSystem TwoSpSystem(const std::string& adversary) {
   options.sp_replicas = 2;
   options.adversary_spec = adversary;
   options.adversary_seed = 42;
-  options.enable_telemetry = true;
   return GrubSystem(options, MakeBL1());
 }
 
@@ -67,8 +66,7 @@ void ExpectDetectedAndConverged(
             issued_reads);
   ExpectValuesExact(system, std::move(feed));
   // The detection counters feed the robustness rollup end to end.
-  const telemetry::RobustnessTotals totals =
-      system.Metrics()->GatherRobustness();
+  const telemetry::RobustnessTotals totals = system.Robustness();
   EXPECT_EQ(totals.sp_failovers, system.Quorum().Failovers());
 }
 
@@ -192,16 +190,6 @@ TEST(AdversaryE2E, ReplayedDeliverIsRejectedByThePendingLedger) {
   EXPECT_GE(system.Consumer().values_received(), 5u);
 }
 
-TEST(AdversaryE2E, DetectionLatencyLandsInTheHistogram) {
-  GrubSystem system = TwoSpSystem("0:forge*");
-  system.Preload(SmallFeed());
-  for (int i = 0; i < 4; ++i) system.ReadNow(MakeKey(i % 4));
-  ASSERT_GE(system.Quorum().Blacklists(), 1u);
-  auto& histogram = system.Metrics()->Registry().GetHistogram(
-      "quorum.detection_blocks", {}, {0.0, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0});
-  EXPECT_GE(histogram.Count(), 1u);
-}
-
 TEST(AdversaryE2E, HonestTwoSpRunFiresNoAdversaryMachinery) {
   // Armed with nothing: a 2-replica honest quorum behaves exactly like the
   // classic single-SP feed, in every build.
@@ -211,7 +199,7 @@ TEST(AdversaryE2E, HonestTwoSpRunFiresNoAdversaryMachinery) {
   EXPECT_EQ(system.Consumer().values_received(), 4u);
   EXPECT_EQ(system.Quorum().Failovers(), 0u);
   EXPECT_EQ(system.Quorum().Blacklists(), 0u);
-  EXPECT_EQ(system.Metrics()->GatherRobustness().deliver_rejections, 0u);
+  EXPECT_EQ(system.Robustness().deliver_rejections, 0u);
   ExpectValuesExact(system);
 }
 

@@ -110,25 +110,25 @@ TEST(SystemTelemetry, CausesCoverTheGrubCodePaths) {
 }
 
 TEST(SystemTelemetry, FlipCountersTrackPolicyTransitions) {
-  auto system = MakeSystem(/*telemetry=*/true);
+  // The DO keeps no flip counter of its own: every policy transition is one
+  // flip audit record in the tracer, which carries its direction.
+  SystemOptions options;
+  options.enable_tracing = true;
+  GrubSystem system(options, std::make_unique<MemorylessPolicy>(2));
   system.Preload(SomeRecords(16, 32));
   // Reads promote toward R, writes demote toward NR under memoryless K=2:
   // drive enough of both on one key to force transitions in each direction.
   auto trace = workload::FixedRatioTrace(/*ratio=*/4, /*ops=*/512, 32);
   system.Drive(trace);
 
-  auto& registry = system.Metrics()->Registry();
+  ASSERT_NE(system.Tracing(), nullptr);
   const std::string policy = system.Do().Policy().Name();
-  const uint64_t promotions =
-      registry
-          .GetCounter("do.replication_flips",
-                      {{"policy", policy}, {"direction", "nr_to_r"}})
-          .Value();
-  const uint64_t demotions =
-      registry
-          .GetCounter("do.replication_flips",
-                      {{"policy", policy}, {"direction", "r_to_nr"}})
-          .Value();
+  uint64_t promotions = 0;
+  uint64_t demotions = 0;
+  for (const auto& flip : system.Tracing()->Flips()) {
+    EXPECT_EQ(flip.policy, policy);
+    (flip.to_replicated ? promotions : demotions) += 1;
+  }
   EXPECT_GT(promotions, 0u);
   EXPECT_GT(demotions, 0u);
 }

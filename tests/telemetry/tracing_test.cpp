@@ -7,7 +7,8 @@
 //      bit-identical Gas (observability never feeds back into simulation);
 //   4. policy audit — every flip record carries a self-describing policy
 //      name and the per-key counter state that justified the decision;
-//   5. the cached robustness handles still gather fault/retry totals.
+//   5. GrubSystem::Robustness() gathers fault/retry totals over every
+//      replica and every adversary.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -293,36 +294,80 @@ TEST(TracingAudit, PolicyNamesAreSelfDescribing) {
   EXPECT_NE(k2.find("window=5"), std::string::npos) << k2;
 }
 
-// --- 5. cached robustness handles ---
+// --- 5. robustness totals ---
 
 TEST(TelemetryRobustness, CachedHandlesStillGatherFaultTotals) {
-  // GatherRobustness now reads cached instrument handles instead of scanning
-  // a registry snapshot; the totals must still reflect what actually fired.
-  SystemOptions options = Traced("sp.deliver.drop@1,do.update.drop@1");
-  options.enable_telemetry = true;
-  GrubSystem system(options, MakeBL1());
-  system.Preload(SmallFeed());
-  system.ReadNow(MakeKey(0));
+  // Named for the retired registry handles: Robustness() sums the
+  // components' own counters, and the totals must reflect what fired.
+  {
+    SCOPED_TRACE("one replica");
+    GrubSystem system(Traced("sp.deliver.drop@1,do.update.drop@1"),
+                      MakeBL1());
+    system.Preload(SmallFeed());
+    system.ReadNow(MakeKey(0));
 
-  ASSERT_NE(system.Metrics(), nullptr);
-  const auto totals = system.Metrics()->GatherRobustness();
-  EXPECT_EQ(totals.fault_fires, system.Faults()->TotalFires());
-  EXPECT_GE(totals.fault_fires, 2u);  // the deliver drop and the update drop
-  EXPECT_EQ(totals.retries, system.Daemon().deliver_retries() +
-                                system.Do().update_retries());
-  EXPECT_GE(totals.retries, 2u);
-  EXPECT_EQ(totals.degraded, 0);
+    const auto totals = system.Robustness();
+    EXPECT_EQ(totals.fault_fires, system.Faults()->TotalFires());
+    EXPECT_GE(totals.fault_fires, 2u);  // the deliver drop and the update drop
+    EXPECT_EQ(totals.retries, system.Daemon().deliver_retries() +
+                                  system.Do().update_retries());
+    EXPECT_GE(totals.retries, 2u);
+    EXPECT_EQ(totals.degraded, 0);
+  }
+  {
+    // Both replicas lie and both lose delivers, so a total that read only
+    // the active replica, or only the schedule injector, falls short.
+    SCOPED_TRACE("two replicas, adversaries and a fault schedule");
+    SystemOptions options = Traced("sp.deliver.drop%2,do.update.drop@1");
+    options.sp_replicas = 2;
+    options.adversary_spec = "0:forge*;1:forge%2";
+    GrubSystem system(options, MakeBL1());
+    system.Preload(SmallFeed());
+    for (int i = 0; i < 8; ++i) system.ReadNow(MakeKey(i % 4));
+    system.Write(MakeKey(0), Bytes(32, 0x7A));
+    system.EndEpoch();
+
+    const SpQuorum& quorum = system.Quorum();
+    uint64_t adversary_fires = 0;
+    uint64_t deliver_retries = 0;
+    uint64_t rejections = 0;
+    for (size_t i = 0; i < quorum.ReplicaCount(); ++i) {
+      SCOPED_TRACE("sp" + std::to_string(i));
+      const SpDaemon& daemon = quorum.Replica(i);
+      ASSERT_NE(daemon.Adversary(), nullptr);
+      EXPECT_GT(daemon.Adversary()->TotalFires(), 0u);
+      EXPECT_GT(daemon.deliver_retries(), 0u);
+      EXPECT_GT(daemon.deliver_rejections(), 0u);
+      adversary_fires += daemon.Adversary()->TotalFires();
+      deliver_retries += daemon.deliver_retries();
+      rejections += daemon.deliver_rejections();
+    }
+    EXPECT_GT(system.Faults()->TotalFires(), 0u);
+    EXPECT_GT(system.Do().update_retries(), 0u);
+
+    const auto totals = system.Robustness();
+    EXPECT_EQ(totals.fault_fires,
+              system.Faults()->TotalFires() + adversary_fires);
+    EXPECT_EQ(totals.retries, deliver_retries + system.Do().update_retries());
+    EXPECT_EQ(totals.deliver_rejections, rejections);
+    EXPECT_EQ(totals.sp_failovers, quorum.Failovers());
+  }
 }
 
 TEST(TelemetryRobustness, DisabledRegistryGathersZeros) {
-  // Named for the retired disabled registry (a null Telemetry* is the off
-  // switch now): a bundle nothing has recorded into gathers all-zero totals.
-  telemetry::Telemetry idle;
-  const auto totals = idle.GatherRobustness();
+  // Named for the retired disabled registry: a run with no telemetry, no
+  // fault schedule and an honest SP gathers all-zero totals.
+  GrubSystem system(SystemOptions{}, MakeBL1());
+  system.Preload(SmallFeed());
+  for (int i = 0; i < 4; ++i) system.ReadNow(MakeKey(i));
+  ASSERT_EQ(system.Metrics(), nullptr);
+  const auto totals = system.Robustness();
   EXPECT_EQ(totals.fault_fires, 0u);
   EXPECT_EQ(totals.retries, 0u);
   EXPECT_EQ(totals.watchdog_reemits, 0u);
   EXPECT_EQ(totals.degraded, 0);
+  EXPECT_EQ(totals.deliver_rejections, 0u);
+  EXPECT_EQ(totals.sp_failovers, 0u);
 }
 
 // --- analyzer arithmetic ---

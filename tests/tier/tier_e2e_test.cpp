@@ -195,12 +195,22 @@ TEST(TierE2E, OversizedEpochUpdateIsChunkedAcrossTransactions) {
   // process on a breach, so completing at all proves every chunk fit; the
   // sizes are asserted too). At four shards only a shard's first chunk
   // carries its root.
+  //
+  // The 956-byte case puts a chunk boundary inside the tier suffix's two
+  // count words: 32 tier entries of 997 bytes (UpdateTierEntryBytes for a
+  // 16-byte key) plus the 56-byte base come to 31960 bytes, 8 below
+  // kMaxCalldataBytes. Counted with the 16 count bytes, the first chunk
+  // holds 31 entries; a chunker that dropped them would pack 32 and send
+  // 31976 bytes (1000 words), and TxCost would abort.
   struct Case {
     size_t shards;
     uint64_t records;
+    size_t value_bytes;
   };
-  for (const auto& [shards, records] : {Case{1, 40}, Case{4, 160}}) {
-    SCOPED_TRACE("shards " + std::to_string(shards));
+  for (const auto& [shards, records, value_bytes] :
+       {Case{1, 40, 1024}, Case{4, 160, 1024}, Case{1, 40, 956}}) {
+    SCOPED_TRACE("shards " + std::to_string(shards) + ", " +
+                 std::to_string(value_bytes) + "-byte values");
     SystemOptions options;
     options.shards = shards;
     if (shards > 1) {
@@ -209,12 +219,12 @@ TEST(TierE2E, OversizedEpochUpdateIsChunkedAcrossTransactions) {
     GrubSystem system(options, StaticTier(tier::StorageTier::kCalldata));
     std::vector<std::pair<Bytes, Bytes>> preload;
     for (uint64_t i = 0; i < records; ++i) {
-      preload.emplace_back(MakeKey(i), Bytes(1024, 0x11));
+      preload.emplace_back(MakeKey(i), Bytes(value_bytes, 0x11));
     }
     system.Preload(preload);
 
     for (uint64_t i = 0; i < records; ++i) {
-      system.Write(MakeKey(i), Bytes(1024, uint8_t(i + 1)));
+      system.Write(MakeKey(i), Bytes(value_bytes, uint8_t(i + 1)));
     }
     const size_t history_before = system.Chain().CallHistory().size();
     system.EndEpoch();
@@ -240,9 +250,9 @@ TEST(TierE2E, OversizedEpochUpdateIsChunkedAcrossTransactions) {
     system.ReadNow(MakeKey(0));
     system.ReadNow(MakeKey(records - 1));
     ASSERT_EQ(system.Consumer().values_received(), 2u);
-    EXPECT_EQ(system.Consumer().received()[0].second, Bytes(1024, 1));
+    EXPECT_EQ(system.Consumer().received()[0].second, Bytes(value_bytes, 1));
     EXPECT_EQ(system.Consumer().received()[1].second,
-              Bytes(1024, uint8_t(records)));
+              Bytes(value_bytes, uint8_t(records)));
     EXPECT_EQ(system.Do().Root(), system.ShardedSp().RootOfRoots());
   }
 }

@@ -998,8 +998,7 @@ int main(int argc, char** argv) {
       root.Set("activity", std::move(activity));
     }
     {
-      const telemetry::RobustnessTotals totals =
-          system.Metrics()->GatherRobustness();
+      const telemetry::RobustnessTotals totals = system.Robustness();
       JsonValue robustness = JsonValue::Object();
       robustness.Set("fault_fires", JsonValue::NumberU64(totals.fault_fires));
       robustness.Set("retries", JsonValue::NumberU64(totals.retries));
@@ -1009,8 +1008,7 @@ int main(int argc, char** argv) {
                      JsonValue::NumberU64(totals.deliver_rejections));
       robustness.Set("sp_failovers",
                      JsonValue::NumberU64(totals.sp_failovers));
-      robustness.Set("degraded",
-                     JsonValue::Bool(system.Do().degraded()));
+      robustness.Set("degraded", JsonValue::Bool(totals.degraded != 0));
       if (system.Faults() != nullptr) {
         JsonValue fires = JsonValue::Object();
         for (const auto& [point, count] : system.Faults()->FireCounts()) {
