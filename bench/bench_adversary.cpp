@@ -52,7 +52,8 @@ ScenarioRun RunScenario(size_t sps, const std::string& adversary,
   for (size_t i = 0; i < reads; ++i) {
     system.ReadNow(workload::MakeKey(i % feed_keys));
   }
-  system.Metrics()->CloseEpoch(reads, system.Robustness());
+  system.Metrics()->Epochs().Close(reads, system.Chain().TotalGasMatrix(),
+                                   system.Robustness());
 
   ScenarioRun run;
   run.answered = system.Consumer().values_received() +

@@ -77,11 +77,11 @@ Fig5Result RunFig5(const bench::PolicyFactory& policy,
   uint64_t ops_in_epoch = 0;
 
   // The bench drives transactions by hand (no GrubSystem::Drive), so it
-  // closes telemetry epochs itself; each row's attribution delta is the
-  // epoch's Gas.
+  // closes telemetry epochs itself; each row's matrix delta is the epoch's
+  // Gas.
   auto close_epoch = [&] {
-    const auto& row =
-        system.Metrics()->CloseEpoch(ops_in_epoch, system.Robustness());
+    const auto& row = system.Metrics()->Epochs().Close(
+        ops_in_epoch, system.Chain().TotalGasMatrix(), system.Robustness());
     result.per_epoch_gas_per_op.push_back(row.GasPerOp());
     result.per_epoch_ops_gas.emplace_back(row.ops, row.GasTotal());
     result.total_ops += row.ops;
@@ -125,9 +125,7 @@ Fig5Result RunFig5(const bench::PolicyFactory& policy,
   }
   if (ops_in_epoch > 0) close_epoch();
 
-  // Aggregate total from the attribution matrix; identical to the chain's
-  // metered TotalGas() by the telemetry invariant.
-  result.total_gas = system.Metrics()->Gas().Total();
+  result.total_gas = system.TotalGas();
   return result;
 }
 

@@ -68,7 +68,7 @@ struct ScaleSystem {
   uint64_t WriteEpoch(size_t touch, uint64_t writes, uint64_t salt) {
     const size_t shard_count = system.ShardedSp().ShardCount();
     const uint64_t per_shard_keys = key_count / shard_count;
-    const telemetry::GasMatrix before = system.Metrics()->Gas().Snapshot();
+    const telemetry::GasMatrix before = system.Chain().TotalGasMatrix();
     for (uint64_t w = 0; w < writes; ++w) {
       const uint64_t shard = w % touch;
       const uint64_t offset =
@@ -77,8 +77,7 @@ struct ScaleSystem {
       system.Write(workload::MakeKey(index), Bytes(32, uint8_t(salt + 1)));
     }
     system.EndEpoch();
-    return UpdatePathGas(system.Metrics()->Gas().Snapshot() -
-                         before);
+    return UpdatePathGas(system.Chain().TotalGasMatrix() - before);
   }
 };
 
@@ -175,7 +174,7 @@ telemetry::BenchReport Run(const BenchOptions& opts) {
       // Each epoch's writes confined to one shard, rotating — steady-state
       // single-shard epochs over the whole forest.
       const size_t shard = static_cast<size_t>(e % kShards);
-      const telemetry::GasMatrix before = sys.system.Metrics()->Gas().Snapshot();
+      const telemetry::GasMatrix before = sys.system.Chain().TotalGasMatrix();
       const uint64_t per_shard_keys = kKeys / kShards;
       for (uint64_t w = 0; w < kSustainedWrites; ++w) {
         const uint64_t index =
@@ -184,7 +183,7 @@ telemetry::BenchReport Run(const BenchOptions& opts) {
       }
       sys.system.EndEpoch();
       const uint64_t gas =
-          UpdatePathGas(sys.system.Metrics()->Gas().Snapshot() - before);
+          UpdatePathGas(sys.system.Chain().TotalGasMatrix() - before);
       if (e < quarter) first_quarter += gas;
       if (e >= kSustainedEpochs - quarter) last_quarter += gas;
       // Record a sparse set of epochs so the artifact stays small.

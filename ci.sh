@@ -21,11 +21,8 @@ run_pass() {
   ctest --test-dir "${build_dir}" --output-on-failure -j "${JOBS}"
 }
 
-# A new compiler warning fails the default pass. The two classes exempted
-# are reported inside libstdc++ code inlined into repo functions; ROADMAP
-# item 4 ("Look hard at length handling") tracks them.
-run_pass build \
-  -DCMAKE_CXX_FLAGS="-Werror -Wno-error=stringop-overread -Wno-error=restrict"
+# Any compiler warning fails the default pass.
+run_pass build -DCMAKE_CXX_FLAGS="-Werror"
 
 # UB is fatal: any sanitizer report fails the run instead of scrolling past.
 run_pass build-asan \

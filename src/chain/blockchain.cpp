@@ -46,13 +46,11 @@ void Blockchain::TakeBlockSnapshot() {
   snap.event_log_size = event_log_.size();
   snap.call_history_size = call_history_.size();
   snap.next_log_index = next_log_index_;
-  snap.total_breakdown = total_breakdown_;
+  snap.gas = gas_;
   snap.gas_by_contract = gas_by_contract_;
   snap.last_block_time = last_block_time_;
-  if (telemetry_ != nullptr) snap.gas_matrix = telemetry_->Gas().Snapshot();
   snapshots_.push_back(std::move(snap));
-  const uint64_t keep = params_.reorg_depth == 0 ? 1 : params_.reorg_depth;
-  while (snapshots_.size() > keep) snapshots_.pop_front();
+  while (snapshots_.size() > kReorgDepth) snapshots_.pop_front();
 }
 
 std::vector<Receipt> Blockchain::MineBlockInternal(bool respect_propagation) {
@@ -118,8 +116,8 @@ std::vector<Receipt> Blockchain::MineBlockInternal(bool respect_propagation) {
 
 uint64_t Blockchain::ReorgNonFinalBlocks() {
   const uint64_t non_final = CurrentBlockNumber() - FinalizedBlockNumber();
-  uint64_t depth = params_.reorg_depth == 0 ? 1 : params_.reorg_depth;
-  depth = std::min({depth, non_final, static_cast<uint64_t>(snapshots_.size())});
+  const uint64_t depth = std::min(
+      {kReorgDepth, non_final, static_cast<uint64_t>(snapshots_.size())});
   if (depth == 0) return 0;
 
   // Orphaned transactions re-enter the mempool front in their original
@@ -141,10 +139,9 @@ uint64_t Blockchain::ReorgNonFinalBlocks() {
   event_log_.resize(snap.event_log_size);
   call_history_.resize(snap.call_history_size);
   next_log_index_ = snap.next_log_index;
-  total_breakdown_ = snap.total_breakdown;
+  gas_ = snap.gas;
   gas_by_contract_ = snap.gas_by_contract;
   last_block_time_ = snap.last_block_time;
-  if (telemetry_ != nullptr) telemetry_->Gas().Restore(snap.gas_matrix);
   snapshots_.erase(snapshots_.end() - static_cast<long>(depth),
                    snapshots_.end());
   if (telemetry_ != nullptr && telemetry_->Trace() != nullptr) {
@@ -168,8 +165,7 @@ Receipt Blockchain::ExecuteTransaction(Transaction& tx,
   // The sender's declared cause scopes the whole transaction (tx base +
   // calldata included); contract handlers refine it with nested spans.
   telemetry::GasSpan cause_span(tx.cause);
-  GasMeter meter(params_.gas,
-                 telemetry_ != nullptr ? &telemetry_->Gas() : nullptr);
+  GasMeter meter(params_.gas);
   meter.ChargeTx(tx.CalldataBytes());
 
   // Internal calls append to the history during execution, so remember this
@@ -209,12 +205,13 @@ Receipt Blockchain::ExecuteTransaction(Transaction& tx,
   // takes the exec multiplier. The unit schedule skips the branch entirely,
   // keeping legacy runs byte-identical. Metered via ChargeOther so the
   // surcharge flows through receipts, per-contract totals, and reorg rollback
-  // exactly like any other charge, and attributed to kPriceShift so the
-  // matrix still provably sums.
+  // exactly like any other charge, under the kPriceShift cause.
   const PricePoint price = params_.price.At(block_number);
   if (!price.IsUnit()) {
-    const GasBreakdown& base = meter.Breakdown();
-    const uint64_t storage_gas = base.storage_insert + base.storage_update;
+    const telemetry::GasMatrix& base = meter.Matrix();
+    const uint64_t storage_gas =
+        base.ComponentTotal(telemetry::GasComponent::kSstoreInsert) +
+        base.ComponentTotal(telemetry::GasComponent::kSstoreUpdate);
     const uint64_t exec_gas = meter.Used() - storage_gas;
     const uint64_t surcharge =
         exec_gas * (price.exec_milli - 1000) / 1000 +
@@ -227,8 +224,8 @@ Receipt Blockchain::ExecuteTransaction(Transaction& tx,
 
   receipt.gas_used = meter.Used();
   receipt.breakdown = meter.Breakdown();
-  total_breakdown_ += meter.Breakdown();
-  gas_by_contract_[tx.to] += meter.Used();
+  gas_ += meter.Matrix();
+  gas_by_contract_[tx.to] += receipt.gas_used;
   if (telemetry_ != nullptr && tx.trace_id != 0 &&
       telemetry_->Trace() != nullptr &&
       (tx.reorg_replay || !receipt.status.ok())) {

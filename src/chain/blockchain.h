@@ -2,7 +2,9 @@
 //
 // Responsibilities:
 //  * contract registry and call dispatch (transactions + internal calls);
-//  * Gas accounting per transaction and cumulatively, under Table 2;
+//  * Gas accounting per transaction and cumulatively, under Table 2: one
+//    component x cause GasMatrix (telemetry/gas_attribution.h) is the run's
+//    Gas ledger, and the totals and breakdowns are views of it;
 //  * logical time: mempool -> blocks every B seconds, finality depth F,
 //    propagation delay Pt (ChainParams, §3.4);
 //  * the EVM event log, queryable by index (the SP watchdog tails it);
@@ -80,8 +82,12 @@ class Blockchain {
   /// Highest block number considered final (depth >= finality_depth).
   uint64_t FinalizedBlockNumber() const;
 
-  uint64_t TotalGasUsed() const { return total_breakdown_.Total(); }
-  const GasBreakdown& TotalBreakdown() const { return total_breakdown_; }
+  /// Cumulative Gas by component x cause since the last counter reset:
+  /// every metered transaction's matrix, added once. Static calls add
+  /// nothing.
+  const telemetry::GasMatrix& TotalGasMatrix() const { return gas_; }
+  uint64_t TotalGasUsed() const { return gas_.Total(); }
+  GasBreakdown TotalBreakdown() const { return GasBreakdown::Of(gas_); }
   /// Cumulative Gas metered by transactions sent TO `contract` (multi-feed
   /// tenancy attribution: each feed's costs are the sum over its own
   /// contracts). Internal calls meter into their outer transaction's target.
@@ -89,21 +95,21 @@ class Blockchain {
     auto it = gas_by_contract_.find(contract);
     return it == gas_by_contract_.end() ? 0 : it->second;
   }
-  /// Resets cumulative Gas counters (experiment phase boundaries). The
-  /// attached telemetry attribution resets in lockstep so its matrix total
-  /// always equals TotalGasUsed().
+  /// Resets cumulative Gas counters (experiment phase boundaries) and
+  /// re-baselines the attached telemetry's epoch series on the zeroed
+  /// matrix.
   void ResetGasCounters() {
-    total_breakdown_ = GasBreakdown{};
+    gas_ = telemetry::GasMatrix{};
     gas_by_contract_.clear();
     // Snapshots straddling a counter reset would restore pre-reset totals;
     // a reorg cannot cross an experiment phase boundary.
     snapshots_.clear();
-    if (telemetry_ != nullptr) telemetry_->ResetGas();
+    if (telemetry_ != nullptr) telemetry_->Epochs().ResetBaseline(gas_);
   }
 
-  /// Installs (or removes, with nullptr) the telemetry sink. Every metered
-  /// transaction from then on records into its Gas attribution; static calls
-  /// stay unrecorded, matching their exclusion from the chain totals.
+  /// Installs (or removes, with nullptr) the telemetry sink: the epoch
+  /// series ResetGasCounters re-baselines, and the tracer reorgs and
+  /// exceptional transactions annotate.
   void SetTelemetry(telemetry::Telemetry* telemetry) { telemetry_ = telemetry; }
   telemetry::Telemetry* Telemetry() const { return telemetry_; }
 
@@ -115,15 +121,17 @@ class Blockchain {
   void SetFaultInjector(fault::FaultInjector* faults) { faults_ = faults; }
   fault::FaultInjector* FaultInjector() const { return faults_; }
 
-  /// Rolls back up to `Params().reorg_depth` non-final blocks: contract
-  /// storage, event log, call history and Gas totals (plus the telemetry
-  /// attribution) return to their pre-block state, and the orphaned blocks'
-  /// transactions re-enter the mempool front in order, ready for
-  /// re-inclusion. Bounded by the snapshots available (taken only while a
-  /// fault injector is attached). Returns the number of blocks rolled back.
-  /// Receipts already handed out for orphaned transactions are stale — like
-  /// a real reorg, the sender only learns by watching the new canonical
-  /// chain.
+  /// Blocks rolled back per reorg (clamped to the non-final suffix).
+  static constexpr uint64_t kReorgDepth = 1;
+
+  /// Rolls back up to kReorgDepth non-final blocks: contract storage, event
+  /// log, call history and the Gas matrix return to their pre-block state,
+  /// and the orphaned blocks' transactions re-enter the mempool front in
+  /// order, ready for re-inclusion. Bounded by the snapshots available
+  /// (taken only while a fault injector is attached). Returns the number of
+  /// blocks rolled back. Receipts already handed out for orphaned
+  /// transactions are stale — like a real reorg, the sender only learns by
+  /// watching the new canonical chain.
   uint64_t ReorgNonFinalBlocks();
 
   const ChainParams& Params() const { return params_; }
@@ -161,20 +169,19 @@ class Blockchain {
 
   // State captured at the start of each mined block (only while a fault
   // injector is attached) so ReorgNonFinalBlocks can restore it. At most
-  // reorg_depth snapshots are kept — a single reorg never reaches deeper.
+  // kReorgDepth snapshots are kept — a single reorg never reaches deeper.
   struct BlockSnapshot {
     std::unordered_map<Address, ContractStorage> storages;
     size_t event_log_size = 0;
     size_t call_history_size = 0;
     uint64_t next_log_index = 0;
-    GasBreakdown total_breakdown;
+    telemetry::GasMatrix gas;
     std::unordered_map<Address, uint64_t> gas_by_contract;
     TimeSec last_block_time = 0;
-    telemetry::GasMatrix gas_matrix;  // zero unless telemetry was attached
   };
   std::deque<BlockSnapshot> snapshots_;
 
-  GasBreakdown total_breakdown_;
+  telemetry::GasMatrix gas_;
   std::unordered_map<Address, uint64_t> gas_by_contract_;
   fault::FaultInjector* faults_ = nullptr;     // not owned; may be null
   telemetry::Telemetry* telemetry_ = nullptr;  // not owned; may be null

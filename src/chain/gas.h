@@ -11,7 +11,11 @@
 // into its measured figures implicitly via the `request` event.
 //
 // Every on-chain operation in the simulator routes through a GasMeter, so
-// experiment Gas counts are exact functions of the operation stream.
+// experiment Gas counts are exact functions of the operation stream. The
+// meter records each charge once, in the component x cause cell of its
+// GasMatrix (telemetry/gas_attribution.h) that the charge kind and the
+// ambient GasSpan name; its total and its Table 2 breakdown are views of
+// that matrix.
 #pragma once
 
 #include <cstdint>
@@ -78,7 +82,8 @@ struct GasSchedule {
   uint64_t OffchainReadPerWord() const { return tx_per_word; }
 };
 
-/// Where Gas went — used by benches to explain cost composition.
+/// Where Gas went, by Table 2 category: `tx` is Ctx(X) (the tx-base and
+/// calldata components together); every other field is one component.
 struct GasBreakdown {
   uint64_t tx = 0;
   uint64_t storage_insert = 0;
@@ -93,91 +98,59 @@ struct GasBreakdown {
            other;
   }
 
-  GasBreakdown& operator+=(const GasBreakdown& o) {
-    tx += o.tx;
-    storage_insert += o.storage_insert;
-    storage_update += o.storage_update;
-    storage_read += o.storage_read;
-    hash += o.hash;
-    log += o.log;
-    other += o.other;
-    return *this;
-  }
+  /// The categories of a component x cause matrix.
+  static GasBreakdown Of(const telemetry::GasMatrix& gas);
 
   std::string ToString() const;
 };
 
-/// Meters Gas against the schedule. Optionally mirrors every charge into a
-/// telemetry::GasAttribution (component + ambient GasSpan cause); the mirror
-/// never changes the metered amounts, so Gas results are identical with
-/// attribution present or null (the `identity` ctest pins this).
+/// Meters Gas against the schedule, one GasMatrix per transaction: each
+/// charge lands in [its component][GasSpan::Current()].
 class GasMeter {
  public:
-  explicit GasMeter(const GasSchedule& schedule,
-                    telemetry::GasAttribution* attribution = nullptr)
-      : schedule_(schedule), attribution_(attribution) {}
+  explicit GasMeter(const GasSchedule& schedule) : schedule_(schedule) {}
 
   void ChargeTx(uint64_t calldata_bytes) {
-    breakdown_.tx += schedule_.TxCost(calldata_bytes);
-    if (attribution_ != nullptr) {
-      // Split the lump Ctx(X) into its base and marginal-calldata parts so
-      // the breakdown can answer "what does shipping the data itself cost".
-      attribution_->Record(telemetry::GasComponent::kTxBase, schedule_.tx_base);
-      attribution_->Record(
-          telemetry::GasComponent::kCalldata,
-          schedule_.tx_per_word * WordsForBytes(calldata_bytes));
-    }
+    // TxCost enforces the Ctx(X) bound; the lump splits into its base and
+    // marginal-calldata parts so the matrix can answer "what does shipping
+    // the data itself cost".
+    const uint64_t base_and_calldata = schedule_.TxCost(calldata_bytes);
+    Record(telemetry::GasComponent::kTxBase, schedule_.tx_base);
+    Record(telemetry::GasComponent::kCalldata,
+           base_and_calldata - schedule_.tx_base);
   }
   void ChargeInsert(uint64_t words) {
-    breakdown_.storage_insert += schedule_.InsertCost(words);
-    if (attribution_ != nullptr) {
-      attribution_->Record(telemetry::GasComponent::kSstoreInsert,
-                           schedule_.InsertCost(words));
-    }
+    Record(telemetry::GasComponent::kSstoreInsert, schedule_.InsertCost(words));
   }
   void ChargeUpdate(uint64_t words) {
-    breakdown_.storage_update += schedule_.UpdateCost(words);
-    if (attribution_ != nullptr) {
-      attribution_->Record(telemetry::GasComponent::kSstoreUpdate,
-                           schedule_.UpdateCost(words));
-    }
+    Record(telemetry::GasComponent::kSstoreUpdate, schedule_.UpdateCost(words));
   }
   void ChargeRead(uint64_t words) {
-    breakdown_.storage_read += schedule_.ReadCost(words);
-    if (attribution_ != nullptr) {
-      attribution_->Record(telemetry::GasComponent::kSload,
-                           schedule_.ReadCost(words));
-    }
+    Record(telemetry::GasComponent::kSload, schedule_.ReadCost(words));
   }
   void ChargeHash(uint64_t words) {
-    breakdown_.hash += schedule_.HashCost(words);
-    if (attribution_ != nullptr) {
-      attribution_->Record(telemetry::GasComponent::kHash,
-                           schedule_.HashCost(words));
-    }
+    Record(telemetry::GasComponent::kHash, schedule_.HashCost(words));
   }
   void ChargeLog(uint64_t topics, uint64_t data_bytes) {
-    breakdown_.log += schedule_.LogCost(topics, data_bytes);
-    if (attribution_ != nullptr) {
-      attribution_->Record(telemetry::GasComponent::kLog,
-                           schedule_.LogCost(topics, data_bytes));
-    }
+    Record(telemetry::GasComponent::kLog,
+           schedule_.LogCost(topics, data_bytes));
   }
   void ChargeOther(uint64_t gas) {
-    breakdown_.other += gas;
-    if (attribution_ != nullptr) {
-      attribution_->Record(telemetry::GasComponent::kOther, gas);
-    }
+    Record(telemetry::GasComponent::kOther, gas);
   }
 
-  uint64_t Used() const { return breakdown_.Total(); }
-  const GasBreakdown& Breakdown() const { return breakdown_; }
+  uint64_t Used() const { return matrix_.Total(); }
+  GasBreakdown Breakdown() const { return GasBreakdown::Of(matrix_); }
+  const telemetry::GasMatrix& Matrix() const { return matrix_; }
   const GasSchedule& Schedule() const { return schedule_; }
 
  private:
+  void Record(telemetry::GasComponent component, uint64_t amount) {
+    matrix_.Add(component, telemetry::GasSpan::Current(), amount);
+  }
+
   GasSchedule schedule_;
-  GasBreakdown breakdown_;
-  telemetry::GasAttribution* attribution_ = nullptr;
+  telemetry::GasMatrix matrix_;
 };
 
 }  // namespace grub::chain

@@ -100,10 +100,6 @@ struct ChainParams {
   /// 0 = unlimited (the cost experiments' default, where only totals
   /// matter).
   uint64_t block_gas_limit = 0;
-  /// Blocks rolled back per injected `chain.reorg` fire (clamped to the
-  /// non-final suffix, so never deeper than `finality_depth`). Only
-  /// meaningful with a fault injector attached.
-  uint64_t reorg_depth = 1;
   GasSchedule gas;
   /// Block-granular price multipliers applied on top of `gas` as a
   /// non-negative surcharge (GasCause::kPriceShift). The default is the unit

@@ -27,7 +27,8 @@
 // degraded flag) and its placement counters are the only copy of those
 // counts: grubctl and GrubSystem::Robustness() read them here. Policy flips
 // are counted by the workload monitor and, with tracing on, recorded as the
-// tracer's flip audit records.
+// tracer's flip audit records. The monitor only listens: it hears each read
+// and write after the policy has decided on it, and no policy reads it back.
 #pragma once
 
 #include <array>
@@ -171,12 +172,10 @@ class DoClient {
   }
 
   /// Streams each observed read/write (and every policy flip) into the
-  /// workload observatory. Also hands the monitor to the policy: adaptive
-  /// tier placement prefers the observatory's live K̂ estimates over its own
-  /// counters when one is bound. Null (the default) detaches both.
+  /// workload observatory. Observation only: no policy reads the monitor.
+  /// Null (the default) detaches it.
   void SetWorkloadMonitor(telemetry::WorkloadMonitor* monitor) {
     workload_ = monitor;
-    policy_->BindWorkloadMonitor(monitor);
   }
 
  private:

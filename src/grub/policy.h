@@ -35,10 +35,6 @@
 #include "tier/tier.h"
 #include "workload/trace.h"
 
-namespace grub::telemetry {
-class WorkloadMonitor;
-}
-
 namespace grub::core {
 
 class ReplicationPolicy {
@@ -60,14 +56,6 @@ class ReplicationPolicy {
   /// state rides the authenticated leaves and the tier does not.
   virtual tier::StorageTier TierOf(const Bytes& key) const {
     return tier::FromReplState(StateOf(key));
-  }
-
-  /// Optional live-signal source for tier policies: when the workload
-  /// observatory is enabled, the system hands the monitor to the policy so
-  /// hot-key/K̂ signals can gate placement. Default: ignore (the binary
-  /// policies keep their own counters).
-  virtual void BindWorkloadMonitor(const telemetry::WorkloadMonitor* monitor) {
-    (void)monitor;
   }
 
   /// Observes the chain's effective gas-price multipliers (milli, >= 1000).

@@ -16,22 +16,19 @@ const char* Name(SpTrust trust) {
 SpQuorum::SpQuorum(chain::Blockchain& chain, shard::ShardedAdsSp& sp,
                    chain::Address storage_manager, chain::Address sp_account,
                    QuorumOptions options, bool dedup_batch)
-    : chain_(chain), options_(options), tracker_(storage_manager) {
-  if (options_.replicas < 1 || options_.replicas > kMaxReplicas) {
+    : chain_(chain), tracker_(storage_manager) {
+  if (options.replicas < 1 || options.replicas > kMaxReplicas) {
     throw std::invalid_argument("quorum: replicas must be in 1.." +
                                 std::to_string(kMaxReplicas));
   }
-  if (options_.blacklist_after_rejections < 1) {
-    throw std::invalid_argument("quorum: blacklist_after_rejections must be >= 1");
-  }
-  auto adversaries = fault::ParseMulti(options_.adversary_spec,
-                                       options_.adversary_seed,
-                                       options_.replicas);
+  auto adversaries = fault::ParseMulti(options.adversary_spec,
+                                       options.adversary_seed,
+                                       options.replicas);
   if (!adversaries.ok()) {
     throw std::invalid_argument(adversaries.status().ToString());
   }
-  replicas_.reserve(options_.replicas);
-  for (size_t i = 0; i < options_.replicas; ++i) {
+  replicas_.reserve(options.replicas);
+  for (size_t i = 0; i < options.replicas; ++i) {
     ReplicaState rep;
     // Replica 0 keeps the feed's canonical SP account — a single-replica
     // quorum submits byte-identical transactions to a bare daemon. Standbys
@@ -129,7 +126,7 @@ void SpQuorum::CheckLiveness(size_t& served) {
     return;
   }
   stall_polls_ += 1;
-  if (stall_polls_ < options_.liveness_timeout_polls) return;
+  if (stall_polls_ < kLivenessTimeoutPolls) return;
   // The oldest request survived the timeout untouched — the active SP is
   // omitting, crash-looping, or losing everything. Replace it.
   Blacklist("liveness");
@@ -145,7 +142,7 @@ size_t SpQuorum::PollAndServe() {
     if (replicas_.size() == 1) return served;  // pass-through: no coordinator
     if (rep.daemon->last_outcome() != DeliverOutcome::kRejected) break;
     rep.rejections += 1;
-    if (rep.rejections < options_.blacklist_after_rejections) break;
+    if (rep.rejections < kBlacklistAfterRejections) break;
     Blacklist("rejections");
     if (!Failover()) break;
     // The promoted replica polls in the same cycle: a detected attack costs

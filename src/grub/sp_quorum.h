@@ -10,12 +10,12 @@
 //
 //   * verified rejections — the active daemon's deliver was rejected by
 //     on-chain verification (DeliverOutcome::kRejected), a PROVEN
-//     misbehaviour signal. After `blacklist_after_rejections` of them the
+//     misbehaviour signal. After kBlacklistAfterRejections of them the
 //     replica is blacklisted and the next standby promoted (same poll
 //     cycle, so reads converge without an extra round).
 //   * liveness stalls — the oldest pending request (tracked from chain
 //     state, never from the SP's own claims) survives
-//     `liveness_timeout_polls` consecutive polls unchanged: the active SP
+//     kLivenessTimeoutPolls consecutive polls unchanged: the active SP
 //     is omitting, crash-looping, or losing every transaction. Blacklist
 //     and fail over.
 //
@@ -55,11 +55,6 @@ const char* Name(SpTrust trust);
 struct QuorumOptions {
   /// SP replicas (1..kMaxReplicas). 1 = the classic single-watchdog feed.
   size_t replicas = 1;
-  /// Verified rejections before the active replica is blacklisted.
-  uint64_t blacklist_after_rejections = 2;
-  /// Consecutive polls the oldest pending request may survive unchanged
-  /// before the active replica is declared dead.
-  uint64_t liveness_timeout_polls = 3;
   /// Per-replica Byzantine behaviour (fault::ParseMulti grammar, e.g.
   /// "forge@2" or "0:omit*;1:replay@1"). Empty = every replica honest.
   std::string adversary_spec;
@@ -70,6 +65,11 @@ struct QuorumOptions {
 class SpQuorum {
  public:
   static constexpr size_t kMaxReplicas = 8;
+  /// Verified rejections before the active replica is blacklisted.
+  static constexpr uint64_t kBlacklistAfterRejections = 2;
+  /// Consecutive polls the oldest pending request may survive unchanged
+  /// before the active replica is declared dead.
+  static constexpr uint64_t kLivenessTimeoutPolls = 3;
   /// Standby accounts are derived collision-free above this base; replica 0
   /// always uses `sp_account` itself so N=1 stays bit-identical.
   static constexpr chain::Address kStandbyAccountBase = 500000;
@@ -130,7 +130,6 @@ class SpQuorum {
   void CheckLiveness(size_t& served);
 
   chain::Blockchain& chain_;
-  QuorumOptions options_;
   std::vector<ReplicaState> replicas_;
   size_t active_ = 0;
   uint64_t failovers_ = 0;

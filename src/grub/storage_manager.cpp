@@ -187,7 +187,7 @@ void StorageManagerContract::ChargeTraceCounter(chain::CallContext& ctx,
 
 Status StorageManagerContract::HandleUpdate(chain::CallContext& ctx,
                                             ByteSpan args) {
-  if (!config_.IsAuthorizedDo(ctx.Sender())) {
+  if (ctx.Sender() != config_.do_address) {
     return Status::FailedPrecondition("update: caller is not an authorized DO");
   }
   AbiReader r(args);
@@ -352,9 +352,7 @@ Status StorageManagerContract::HandleGGet(chain::CallContext& ctx,
   w.U64(callback_contract);
   w.Blob(ToBytes(callback_function));
   ctx.EmitEvent(kRequestEvent, w.Take());
-  if (config_.enforce_request_ledger) {
-    NotePendingRequest(ctx, key, callback_contract, callback_function);
-  }
+  NotePendingRequest(ctx, key, callback_contract, callback_function);
   return Status::Ok();
 }
 
@@ -423,10 +421,12 @@ Status StorageManagerContract::HandleDeliver(chain::CallContext& ctx,
     pending_hashes.clear();
   };
 
-  // Replay guard (enforce_request_ledger deployments): claims against the
-  // unmetered pending ledger accumulate here and are written back only
-  // after the whole batch verifies — a failed call does not roll storage
-  // back in this chain model, so partial decrements would leak counts.
+  // Replay guard: every point entry must answer an outstanding gGet miss,
+  // so a replayed or unsolicited delivery reverts instead of re-invoking
+  // callbacks. Claims against the unmetered pending ledger accumulate here
+  // and are written back only after the whole batch verifies — a failed
+  // call does not roll storage back in this chain model, so partial
+  // decrements would leak counts.
   chain::ContractStorage& backing = ctx.Storage().Backing();
   std::map<Word, uint64_t> claimed;
 
@@ -435,8 +435,7 @@ Status StorageManagerContract::HandleDeliver(chain::CallContext& ctx,
     auto entry = DecodeDeliverEntry(r);
     if (!entry.ok()) return entry.status();
 
-    if (config_.enforce_request_ledger &&
-        entry->kind != DeliverEntry::Kind::kScan) {
+    if (entry->kind != DeliverEntry::Kind::kScan) {
       // Checked before any verification is paid for: a replayed delivery is
       // detectable from the ledger alone.
       const Word slot = PendingSlot(entry->key, entry->callback_contract,

@@ -27,7 +27,10 @@
 //                              insert replica when the record state is R;
 //                              invoke callbacks. kDigest entries skip the
 //                              Merkle path: hash(value) must equal the
-//                              pinned digest (one sload + one hash)
+//                              pinned digest (one sload + one hash). Each
+//                              point entry must answer a gGet miss still
+//                              pending in an unmetered ledger, so replayed
+//                              or unsolicited entries revert
 //
 // BL3 flags charge on-chain trace maintenance (§5.1's dynamic-replication
 // baselines that keep the read / read+write trace on chain).
@@ -48,11 +51,8 @@ namespace grub::core {
 class StorageManagerContract : public chain::Contract {
  public:
   struct Config {
+    /// The one account authorized to call update().
     chain::Address do_address = chain::kNullAddress;
-    /// Additional accounts authorized to call update() — real feeds are
-    /// multi-poster (ethPriceOracle "allows 14 off-chain accounts to update
-    /// the price feed", §2.1).
-    std::vector<chain::Address> additional_do_accounts;
     bool trace_reads_on_chain = false;   // BL3 variants
     bool trace_writes_on_chain = false;
     /// The keyspace partition this deployment commits to. The contract holds
@@ -63,22 +63,6 @@ class StorageManagerContract : public chain::Contract {
     /// slot per shard plus the root-of-roots, and update() carries the
     /// changed shard roots (see EncodeUpdate).
     shard::ShardMap shard_map;
-    /// Harden deliver() with the unmetered pending-request ledger: every
-    /// point entry must answer an outstanding gGet miss (counted per
-    /// key/callback identity in backing storage), so a replayed or
-    /// unsolicited delivery reverts instead of re-invoking callbacks. Off by
-    /// default — handcrafted-deliver unit fixtures stay valid, and the
-    /// ledger never touches Gas either way — but GrubSystem switches it on
-    /// for every feed it deploys.
-    bool enforce_request_ledger = false;
-
-    bool IsAuthorizedDo(chain::Address sender) const {
-      if (sender == do_address) return true;
-      for (chain::Address account : additional_do_accounts) {
-        if (sender == account) return true;
-      }
-      return false;
-    }
   };
 
   explicit StorageManagerContract(Config config) : config_(config) {}
@@ -185,8 +169,7 @@ class StorageManagerContract : public chain::Contract {
   static Word PendingSlot(ByteSpan key, chain::Address callback_contract,
                           const std::string& callback_function);
 
-  /// Counts an emitted gGet miss in the pending ledger (unmetered; only when
-  /// enforce_request_ledger is on).
+  /// Counts an emitted gGet miss in the pending ledger (unmetered).
   void NotePendingRequest(chain::CallContext& ctx, ByteSpan key,
                           chain::Address callback_contract,
                           const std::string& callback_function);

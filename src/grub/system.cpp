@@ -73,9 +73,6 @@ size_t GrubSystem::AddFeed(const FeedOptions& options,
   config.trace_reads_on_chain =
       options.trace_reads_on_chain || options.trace_writes_on_chain;
   config.trace_writes_on_chain = options.trace_writes_on_chain;
-  // The reference deployment always arms the pending-request ledger: it is
-  // unmetered (no Gas drift) and makes replayed delivers provably rejected.
-  config.enforce_request_ledger = true;
   auto manager = std::make_unique<StorageManagerContract>(config);
   feed->manager_ = manager.get();
   feed->manager_address_ = chain_.Deploy(std::move(manager));
@@ -94,9 +91,6 @@ size_t GrubSystem::AddFeed(const FeedOptions& options,
   quorum_options.replicas = options.sp_replicas;
   quorum_options.adversary_spec = options.adversary_spec;
   quorum_options.adversary_seed = options.adversary_seed;
-  quorum_options.blacklist_after_rejections =
-      options.blacklist_after_rejections;
-  quorum_options.liveness_timeout_polls = options.liveness_timeout_polls;
   feed->quorum_ = std::make_unique<SpQuorum>(
       chain_, feed->sp_, feed->manager_address_, kSpAccount + shift,
       quorum_options, options.dedup_deliver_batch);
@@ -301,7 +295,6 @@ GrubSystem::DriveState GrubSystem::StartDrive(
   DriveState state;
   state.trace = &trace;
   state.epoch_start_gas = chain_.TotalGasUsed();
-  state.epoch_start_breakdown = chain_.TotalBreakdown();
   return state;
 }
 
@@ -391,25 +384,13 @@ void GrubSystem::DriveGroup(Feed& feed, DriveState& state) {
 }
 
 void GrubSystem::CloseEpoch(Feed& feed, DriveState& state) {
-  // Saturating deltas: a reorg can roll the cumulative counters below the
-  // values captured at the epoch start.
-  auto sat_sub = [](uint64_t a, uint64_t b) { return a >= b ? a - b : 0; };
   feed.do_client_->EndEpoch();
-  const chain::GasBreakdown& start = state.epoch_start_breakdown;
+  const uint64_t gas = chain_.TotalGasUsed();
   EpochGas epoch;
-  epoch.gas = sat_sub(chain_.TotalGasUsed(), state.epoch_start_gas);
+  // Saturating: a reorg can roll the cumulative total below the value
+  // captured at the epoch start.
+  epoch.gas = gas >= state.epoch_start_gas ? gas - state.epoch_start_gas : 0;
   epoch.ops = state.ops_in_epoch;
-  epoch.breakdown = chain_.TotalBreakdown();
-  epoch.breakdown.tx = sat_sub(epoch.breakdown.tx, start.tx);
-  epoch.breakdown.storage_insert =
-      sat_sub(epoch.breakdown.storage_insert, start.storage_insert);
-  epoch.breakdown.storage_update =
-      sat_sub(epoch.breakdown.storage_update, start.storage_update);
-  epoch.breakdown.storage_read =
-      sat_sub(epoch.breakdown.storage_read, start.storage_read);
-  epoch.breakdown.hash = sat_sub(epoch.breakdown.hash, start.hash);
-  epoch.breakdown.log = sat_sub(epoch.breakdown.log, start.log);
-  epoch.breakdown.other = sat_sub(epoch.breakdown.other, start.other);
   epoch.touched_shards = feed.do_client_->LastEpochTouchedShards();
   std::vector<double> shard_heat;
   if (feed.workload_ != nullptr) {
@@ -426,13 +407,12 @@ void GrubSystem::CloseEpoch(Feed& feed, DriveState& state) {
       epoch_price.exec_milli = p.exec_milli;
       epoch_price.storage_milli = p.storage_milli;
     }
-    telemetry_->CloseEpoch(state.ops_in_epoch, Robustness(),
-                           epoch.touched_shards, std::move(shard_heat),
-                           epoch_price);
+    telemetry_->Epochs().Close(state.ops_in_epoch, chain_.TotalGasMatrix(),
+                               Robustness(), epoch.touched_shards,
+                               std::move(shard_heat), epoch_price);
   }
   state.epochs.push_back(epoch);
-  state.epoch_start_gas = chain_.TotalGasUsed();
-  state.epoch_start_breakdown = chain_.TotalBreakdown();
+  state.epoch_start_gas = gas;
   state.groups_in_epoch = 0;
   state.ops_in_epoch = 0;
 }

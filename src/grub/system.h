@@ -99,9 +99,6 @@ struct FeedOptions {
   std::string adversary_spec;
   /// Seed for probabilistic adversary triggers.
   uint64_t adversary_seed = 42;
-  /// Quorum failover thresholds (see QuorumOptions).
-  uint64_t blacklist_after_rejections = 2;
-  uint64_t liveness_timeout_polls = 3;
   /// Attach the workload observatory: a per-feed WorkloadMonitor streaming
   /// per-shard heat, hot-key sets, online K estimates, flip regret and
   /// gas-per-op drift as the system runs (grubctl --workload / --watch).
@@ -113,8 +110,8 @@ struct FeedOptions {
 /// The system-wide knobs, plus feed 0's (inherited).
 struct SystemOptions : FeedOptions {
   chain::ChainParams chain_params = {};
-  /// Attach a Telemetry bundle: Gas attribution on the chain and per-epoch
-  /// snapshots in Drive. Off by default — enabling it never changes Gas
+  /// Attach a Telemetry bundle: per-epoch snapshots of the chain's Gas
+  /// matrix in Drive. Off by default — enabling it never changes Gas
   /// results (asserted in tests).
   bool enable_telemetry = false;
   /// Attach the request-scoped Tracer (implies a Telemetry bundle): spans
@@ -137,7 +134,6 @@ struct SystemOptions : FeedOptions {
 struct EpochGas {
   uint64_t gas = 0;
   size_t ops = 0;
-  chain::GasBreakdown breakdown;
   /// Shards whose trees changed this epoch (1 at most in single-shard runs).
   size_t touched_shards = 0;
 
@@ -220,9 +216,7 @@ class GrubSystem {
       const std::vector<workload::Trace>& traces);
 
   uint64_t TotalGas() const { return chain_.TotalGasUsed(); }
-  const chain::GasBreakdown& TotalBreakdown() const {
-    return chain_.TotalBreakdown();
-  }
+  chain::GasBreakdown TotalBreakdown() const { return chain_.TotalBreakdown(); }
 
   // Feed 0's components — every single-feed call site means exactly these.
   chain::Blockchain& Chain() { return chain_; }
@@ -319,7 +313,6 @@ class GrubSystem {
     size_t groups_in_epoch = 0;
     size_t ops_in_epoch = 0;
     uint64_t epoch_start_gas = 0;
-    chain::GasBreakdown epoch_start_breakdown;
     std::vector<EpochGas> epochs;
   };
   DriveState StartDrive(const workload::Trace& trace) const;

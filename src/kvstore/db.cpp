@@ -3,7 +3,6 @@
 #include <filesystem>
 #include <fstream>
 
-#include "telemetry/profile.h"
 
 namespace grub::kv {
 
@@ -98,7 +97,6 @@ Status KVStore::LogWrite(const WalRecord& record) {
 }
 
 Status KVStore::Put(ByteSpan key, ByteSpan value) {
-  GRUB_PROBE(telemetry::ProbeSite::kKvPut);
   WalRecord record{.is_delete = false,
                    .key = Bytes(key.begin(), key.end()),
                    .value = Bytes(value.begin(), value.end())};
@@ -119,7 +117,6 @@ Status KVStore::Delete(ByteSpan key) {
 }
 
 Result<Bytes> KVStore::Get(ByteSpan key) const {
-  GRUB_PROBE(telemetry::ProbeSite::kKvGet);
   if (auto hit = memtable_.Get(key)) {
     if (!hit->has_value()) return Status::NotFound("deleted");
     return **hit;

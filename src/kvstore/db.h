@@ -11,9 +11,8 @@
 // With a path the store persists and recovers across Open() calls; the SP
 // opens one as its backing store only when given a db path (ads/sp.h). An
 // empty `path` gives a purely in-memory store, which nothing on the
-// simulation path opens. The store keeps no counters or timers of its own:
-// the `kv.get`/`kv.put` profiling probes (telemetry/profile.h) are its only
-// instruments.
+// simulation path opens. The store keeps no counters or timers: no grubctl
+// or grub-bench run opens one, so a probe here would only ever read 0.
 #pragma once
 
 #include <memory>

@@ -16,22 +16,15 @@ uint64_t DeltaOrZero(uint64_t now, uint64_t before) {
 }
 }  // namespace
 
-const EpochRow& EpochSeries::Close(uint64_t ops,
-                                   const GasAttribution& attribution) {
-  return Close(ops, attribution, robustness_baseline_);
-}
-
-const EpochRow& EpochSeries::Close(uint64_t ops,
-                                   const GasAttribution& attribution,
+const EpochRow& EpochSeries::Close(uint64_t ops, const GasMatrix& gas,
                                    const RobustnessTotals& robustness,
                                    uint64_t touched_shards,
                                    std::vector<double> shard_heat,
                                    EpochPrice price) {
-  const GasMatrix now = attribution.Snapshot();
   EpochRow row;
   row.epoch = rows_.size();
   row.ops = ops;
-  row.gas = now - baseline_;
+  row.gas = gas - baseline_;
   row.fault_fires =
       DeltaOrZero(robustness.fault_fires, robustness_baseline_.fault_fires);
   row.retries = DeltaOrZero(robustness.retries, robustness_baseline_.retries);
@@ -45,15 +38,13 @@ const EpochRow& EpochSeries::Close(uint64_t ops,
   row.touched_shards = touched_shards;
   row.shard_heat = std::move(shard_heat);
   row.price = price;
-  baseline_ = now;
+  baseline_ = gas;
   robustness_baseline_ = robustness;
   rows_.push_back(row);
   return rows_.back();
 }
 
-void EpochSeries::ResetBaseline(const GasAttribution& attribution) {
-  baseline_ = attribution.Snapshot();
-}
+void EpochSeries::ResetBaseline(const GasMatrix& gas) { baseline_ = gas; }
 
 GasMatrix EpochSeries::RowSum() const {
   GasMatrix sum;

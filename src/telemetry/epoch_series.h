@@ -1,11 +1,12 @@
-// EpochSeries: per-epoch time-series snapshots of the Gas attribution.
+// EpochSeries: per-epoch time-series snapshots of the chain's Gas matrix.
 //
-// GrubSystem closes one row per driven epoch; each row carries the epoch's
-// operation count and the attribution matrix DELTA since the previous row
-// (so rows sum exactly to the run's total — the invariant the integration
-// tests assert). Rows export as CSV (one header + one line per epoch) and
-// JSON-lines (one object per epoch), the shared schema the bench JSON
-// consumers read.
+// The epoch closer (GrubSystem, or a bench driving its own epochs) closes
+// one row per epoch from the chain's cumulative matrix
+// (Blockchain::TotalGasMatrix); each row carries the epoch's operation count
+// and the matrix DELTA since the previous row (so rows sum exactly to the
+// run's total — the invariant the integration tests assert). Rows export as
+// CSV (one header + one line per epoch) and JSON-lines (one object per
+// epoch), the shared schema the bench JSON consumers read.
 #pragma once
 
 #include <cstdint>
@@ -43,7 +44,7 @@ struct EpochPrice {
 struct EpochRow {
   uint64_t epoch = 0;  // 0-based, in close order
   uint64_t ops = 0;
-  GasMatrix gas;  // attribution delta for this epoch
+  GasMatrix gas;  // the chain matrix's delta over this epoch
   // Robustness deltas for this epoch (zero in fault-free runs).
   uint64_t fault_fires = 0;
   uint64_t retries = 0;
@@ -73,22 +74,22 @@ struct EpochRow {
 
 class EpochSeries {
  public:
-  /// Closes one epoch: the delta of `attribution` against the previous close
-  /// (or the last baseline reset) becomes the new row.
-  const EpochRow& Close(uint64_t ops, const GasAttribution& attribution);
-  /// As above, also recording the robustness counter deltas since the
-  /// previous close (`robustness` carries cumulative values), the number of
-  /// shards whose trees changed this epoch, and (when the workload monitor
-  /// is live) the per-shard heat snapshot at close.
-  const EpochRow& Close(uint64_t ops, const GasAttribution& attribution,
+  /// Closes one epoch: the delta of `gas` (the chain's cumulative matrix)
+  /// against the previous close (or the last baseline reset) becomes the
+  /// new row, with the robustness counter deltas since the previous close
+  /// (`robustness` carries cumulative values), the number of shards whose
+  /// trees changed this epoch, and (when the workload monitor is live) the
+  /// per-shard heat snapshot at close.
+  const EpochRow& Close(uint64_t ops, const GasMatrix& gas,
                         const RobustnessTotals& robustness,
                         uint64_t touched_shards = 0,
                         std::vector<double> shard_heat = {},
                         EpochPrice price = {});
 
-  /// Re-baselines after a Gas-counter reset so the next row does not absorb
-  /// pre-reset Gas. Clears nothing already recorded.
-  void ResetBaseline(const GasAttribution& attribution);
+  /// Re-baselines after a Gas-counter reset (Blockchain::ResetGasCounters
+  /// passes the zeroed matrix) so the next row does not absorb pre-reset
+  /// Gas. Clears nothing already recorded.
+  void ResetBaseline(const GasMatrix& gas);
 
   /// Drops recorded rows (e.g. warm-up epochs before a converged
   /// measurement); the baseline is unaffected.
@@ -96,7 +97,7 @@ class EpochSeries {
 
   const std::vector<EpochRow>& Rows() const { return rows_; }
 
-  /// Sum of all row deltas (== attribution total since the last reset,
+  /// Sum of all row deltas (== the matrix total since the last reset,
   /// provided every epoch was closed).
   GasMatrix RowSum() const;
 

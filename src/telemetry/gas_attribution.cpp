@@ -73,28 +73,4 @@ GasMatrix GasMatrix::operator-(const GasMatrix& o) const {
   return out;
 }
 
-GasMatrix GasAttribution::Snapshot() const {
-  GasMatrix out;
-  for (size_t c = 0; c < kNumGasComponents; ++c) {
-    for (size_t w = 0; w < kNumGasCauses; ++w) {
-      out.cells[c][w] = cells_[c][w].load(std::memory_order_relaxed);
-    }
-  }
-  return out;
-}
-
-void GasAttribution::Reset() {
-  for (auto& row : cells_) {
-    for (auto& cell : row) cell.store(0, std::memory_order_relaxed);
-  }
-}
-
-void GasAttribution::Restore(const GasMatrix& state) {
-  for (size_t c = 0; c < kNumGasComponents; ++c) {
-    for (size_t w = 0; w < kNumGasCauses; ++w) {
-      cells_[c][w].store(state.cells[c][w], std::memory_order_relaxed);
-    }
-  }
-}
-
 }  // namespace grub::telemetry

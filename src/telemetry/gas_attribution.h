@@ -8,18 +8,18 @@
 //     materialization/eviction, BL3's on-chain trace upkeep).
 //
 // The cause is ambient: code entering a logical phase opens a GasSpan (RAII,
-// thread-local, nestable — innermost wins) and every charge recorded while
-// it is open lands in that cause's column. Charges outside any span fall in
-// kUnattributed, so the matrix total always equals the metered total — the
-// invariant the telemetry integration tests pin down.
+// thread-local, nestable — innermost wins) and every charge metered while it
+// is open lands in that cause's column. Charges outside any span fall in
+// kUnattributed.
 //
-// GasAttribution cells are relaxed atomics: recording from concurrent
-// drivers is safe, and the single-threaded simulator path pays one uncontended
-// atomic add per charge.
+// The chain's GasMeter (chain/gas.h) records each charge once, into the cell
+// of a GasMatrix; the chain folds each transaction's matrix into its
+// cumulative one (Blockchain::TotalGasMatrix), which is the run's one Gas
+// ledger: its total is the metered total, and its component sums are the
+// Table 2 breakdown.
 #pragma once
 
 #include <array>
-#include <atomic>
 #include <cstdint>
 #include <string>
 
@@ -63,9 +63,9 @@ inline constexpr size_t kNumGasCauses = 13;
 const char* Name(GasComponent component);
 const char* Name(GasCause cause);
 
-/// Opens an attribution scope: Gas recorded while this object lives is
+/// Opens an attribution scope: Gas metered while this object lives is
 /// attributed to `cause`. Nestable; restores the previous cause on
-/// destruction. Thread-local, so concurrent drivers do not interfere.
+/// destruction.
 class GasSpan {
  public:
   explicit GasSpan(GasCause cause) : previous_(current_) { current_ = cause; }
@@ -83,12 +83,15 @@ class GasSpan {
   static inline thread_local GasCause current_ = GasCause::kUnattributed;
 };
 
-/// Plain (non-atomic) copy of the attribution matrix, for export and diffing.
+/// Gas by component x cause.
 struct GasMatrix {
   std::array<std::array<uint64_t, kNumGasCauses>, kNumGasComponents> cells{};
 
   uint64_t At(GasComponent c, GasCause why) const {
     return cells[static_cast<size_t>(c)][static_cast<size_t>(why)];
+  }
+  void Add(GasComponent c, GasCause why, uint64_t amount) {
+    cells[static_cast<size_t>(c)][static_cast<size_t>(why)] += amount;
   }
   uint64_t ComponentTotal(GasComponent c) const;
   uint64_t CauseTotal(GasCause why) const;
@@ -96,30 +99,8 @@ struct GasMatrix {
 
   GasMatrix& operator+=(const GasMatrix& o);
   /// Cell-wise saturating subtraction (per-epoch deltas). Saturates at zero
-  /// because a chain reorg can roll the attribution below an epoch baseline.
+  /// because a chain reorg can roll the matrix below an epoch baseline.
   GasMatrix operator-(const GasMatrix& o) const;
-};
-
-class GasAttribution {
- public:
-  /// Records `amount` Gas against `component` and the ambient GasSpan cause.
-  void Record(GasComponent component, uint64_t amount) {
-    cells_[static_cast<size_t>(component)]
-          [static_cast<size_t>(GasSpan::Current())]
-              .fetch_add(amount, std::memory_order_relaxed);
-  }
-
-  GasMatrix Snapshot() const;
-  uint64_t Total() const { return Snapshot().Total(); }
-  void Reset();
-  /// Overwrites the matrix with `state` — used by the chain's reorg rollback
-  /// so the attribution total keeps matching the (rolled-back) metered total.
-  void Restore(const GasMatrix& state);
-
- private:
-  std::array<std::array<std::atomic<uint64_t>, kNumGasCauses>,
-             kNumGasComponents>
-      cells_{};
 };
 
 }  // namespace grub::telemetry

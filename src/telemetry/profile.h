@@ -1,6 +1,6 @@
 // Hot-path profiling probes: scoped nanosecond counters on the few code
 // paths measurement has shown dominate runtime (Merkle rebuild and batched
-// update, sha256, deliver codec, kvstore get/put). Each site exports count /
+// update, sha256, deliver codec). Each site exports count /
 // total / max nanoseconds — the evidence base for choosing parallelization
 // targets (ROADMAP item 2).
 //
@@ -24,8 +24,8 @@
 // clock cost; `max_ns` is the max over sampled hits. The first hit of every
 // site is always sampled, so any exercised path shows nonzero time.
 //
-// Header-only on purpose: the probed libraries (grub_crypto, grub_kvstore)
-// gain no link dependency on grub_telemetry.
+// Header-only on purpose: the probed crypto library (grub_crypto) gains no
+// link dependency on grub_telemetry.
 #pragma once
 
 #include <atomic>
@@ -41,8 +41,6 @@ enum class ProbeSite : size_t {
   kSha256Digest,
   kCodecEncode,
   kCodecDecode,
-  kKvGet,
-  kKvPut,
   kMerkleUpdate,
   kCount,
 };
@@ -98,8 +96,7 @@ class ProfileRegistry {
   static const char* Name(ProbeSite site) {
     static const char* kNames[kSites] = {
         "merkle.rebuild", "sha256.digest", "codec.encode",
-        "codec.decode",   "kv.get",        "kv.put",
-        "merkle.update",
+        "codec.decode",   "merkle.update",
     };
     return kNames[static_cast<size_t>(site)];
   }

@@ -11,17 +11,16 @@ namespace grub::telemetry {
 WorkloadMonitor::WorkloadMonitor(Options options)
     : options_(std::move(options)),
       sketch_(options_.sketch_capacity),
-      deliver_rate_(options_.rate_window_blocks, options_.rate_alpha),
-      gas_drift_(options_.drift_alpha, options_.drift_threshold_pct,
-                 options_.drift_warmup) {
+      deliver_rate_(options_.rate_window_blocks, kRateAlpha),
+      gas_drift_(kDriftAlpha, kDriftThresholdPct, kDriftWarmup) {
   if (options_.shard_count == 0) options_.shard_count = 1;
   shard_stats_.resize(options_.shard_count);
   shard_read_rate_.assign(
       options_.shard_count,
-      BlockRateEstimator(options_.rate_window_blocks, options_.rate_alpha));
+      BlockRateEstimator(options_.rate_window_blocks, kRateAlpha));
   shard_write_rate_.assign(
       options_.shard_count,
-      BlockRateEstimator(options_.rate_window_blocks, options_.rate_alpha));
+      BlockRateEstimator(options_.rate_window_blocks, kRateAlpha));
 }
 
 void WorkloadMonitor::Touch(const Bytes& key, uint64_t block, bool is_write) {

@@ -52,13 +52,15 @@ class WorkloadMonitor {
     size_t sketch_capacity = 64;
     /// Block window for all rate estimators.
     uint64_t rate_window_blocks = 16;
-    /// EWMA weight for rate estimators.
-    double rate_alpha = 0.5;
-    /// Gas-per-op drift detector tuning.
-    double drift_alpha = 0.25;
-    double drift_threshold_pct = 25.0;
-    uint64_t drift_warmup = 4;
   };
+
+  /// EWMA weight for the rate estimators.
+  static constexpr double kRateAlpha = 0.5;
+  /// Gas-per-op drift detector tuning: EWMA weight, alarm threshold (% off
+  /// the EWMA) and epochs of warm-up before it may alarm.
+  static constexpr double kDriftAlpha = 0.25;
+  static constexpr double kDriftThresholdPct = 25.0;
+  static constexpr uint64_t kDriftWarmup = 4;
 
   /// Per-key online state, kept only for sketch-tracked keys.
   struct KeyStats {

@@ -10,18 +10,6 @@ AdaptiveTierPolicy::AdaptiveTierPolicy(const TierCostModel& cost,
       options_(options),
       sketch_(options.sketch_capacity == 0 ? 1 : options.sketch_capacity) {}
 
-double AdaptiveTierPolicy::KEstimate(const Bytes& key,
-                                     const Counts& counts) const {
-  if (monitor_ != nullptr) {
-    if (const auto* stats = monitor_->StatsOf(key)) {
-      return stats->KEstimate();
-    }
-  }
-  return counts.writes == 0 ? 0.0
-                            : static_cast<double>(counts.reads) /
-                                  static_cast<double>(counts.writes);
-}
-
 void AdaptiveTierPolicy::Observe(const workload::Operation& op) {
   if (op.type == workload::OpType::kScan) return;  // expanded upstream
   // Admit the key to the hot set; a displaced key loses its counters AND
@@ -36,11 +24,13 @@ void AdaptiveTierPolicy::Observe(const workload::Operation& op) {
   }
   counts.writes += 1;
   if (!op.value.empty()) counts.value_bytes = op.value.size();
-  if (counts.writes < options_.min_writes) return;
   const size_t value_bytes =
       counts.value_bytes != 0 ? counts.value_bytes : options_.default_value_bytes;
-  counts.tier = cost_.CheapestPriced(KEstimate(op.key, counts), op.key.size(),
-                                     value_bytes, exec_milli_, storage_milli_);
+  // K̂ = reads per write; the write just counted makes it well defined.
+  const double k_hat = static_cast<double>(counts.reads) /
+                       static_cast<double>(counts.writes);
+  counts.tier = cost_.CheapestPriced(k_hat, op.key.size(), value_bytes,
+                                     exec_milli_, storage_milli_);
 }
 
 void AdaptiveTierPolicy::ObservePrice(uint64_t exec_milli,

@@ -9,9 +9,9 @@
 //    decisions ride the epoch update, so deciding at writes is free).
 //    Bounded state: a SpaceSaving hot-key sketch gates which keys may hold
 //    a non-default tier — an evicted (cold) key falls back to off-chain,
-//    the tier that costs nothing to hold. When the workload observatory is
-//    live, its per-key stats are the K̂ source (BindWorkloadMonitor);
-//    otherwise the policy keeps its own counters with identical math.
+//    the tier that costs nothing to hold. K̂ comes from the policy's own
+//    per-key counters, so the workload observatory (which hears a write
+//    only after the policy decided on it) never steers placement.
 #pragma once
 
 #include <map>
@@ -19,7 +19,6 @@
 
 #include "grub/policy.h"
 #include "telemetry/sketch.h"
-#include "telemetry/workload_monitor.h"
 #include "tier/cost.h"
 #include "tier/tier.h"
 
@@ -50,9 +49,6 @@ class AdaptiveTierPolicy : public core::ReplicationPolicy {
     size_t default_value_bytes = 32;
     /// Hot-key budget: only sketch-tracked keys may hold a non-default tier.
     size_t sketch_capacity = 64;
-    /// Writes a key must accumulate before it may leave the default tier
-    /// (one write is enough to form a K̂ = reads/writes estimate).
-    uint64_t min_writes = 1;
   };
 
   explicit AdaptiveTierPolicy(const TierCostModel& cost)
@@ -72,10 +68,6 @@ class AdaptiveTierPolicy : public core::ReplicationPolicy {
   StorageTier TierOf(const Bytes& key) const override;
   std::string Name() const override;
   std::string CounterState(const Bytes& key) const override;
-  void BindWorkloadMonitor(
-      const telemetry::WorkloadMonitor* monitor) override {
-    monitor_ = monitor;
-  }
 
  private:
   struct Counts {
@@ -85,17 +77,12 @@ class AdaptiveTierPolicy : public core::ReplicationPolicy {
     StorageTier tier = StorageTier::kOffchain;
   };
 
-  /// K̂ for a key: the observatory's live estimate when bound and tracked
-  /// there, otherwise the policy's own reads/writes counters.
-  double KEstimate(const Bytes& key, const Counts& counts) const;
-
   TierCostModel cost_;
   Options options_;
   uint64_t exec_milli_ = 1000;     // effective multipliers; unit until the
   uint64_t storage_milli_ = 1000;  // first ObservePrice
   telemetry::SpaceSavingSketch sketch_;
   std::map<Bytes, Counts> counts_;  // sketch-tracked keys only
-  const telemetry::WorkloadMonitor* monitor_ = nullptr;
 };
 
 }  // namespace grub::tier

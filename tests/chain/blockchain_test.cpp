@@ -243,6 +243,70 @@ TEST(Blockchain, OversizedTransactionStillMines) {
   EXPECT_EQ(chain.CurrentBlockNumber(), 2u);  // one tx per block
 }
 
+TEST(Blockchain, ReorgRollsTheGasMatrixBack) {
+  using telemetry::GasCause;
+  auto faults = fault::FaultInjector::Parse("chain.reorg@2", /*seed=*/1);
+  ASSERT_TRUE(faults.ok());
+  Blockchain chain;
+  chain.SetFaultInjector(faults.value().get());
+  const Address a = chain.Deploy(std::make_unique<EchoContract>());
+  const Address b = chain.Deploy(std::make_unique<EchoContract>());
+  auto tx = [](Address to, const std::string& fn, Bytes args, GasCause why) {
+    Transaction t = MakeTx(to, fn, std::move(args));
+    t.cause = why;
+    return t;
+  };
+  auto u64 = [](uint64_t v) {
+    AbiWriter w;
+    w.U64(v);
+    return w.Take();
+  };
+
+  // Block 1 stays canonical.
+  chain.SubmitAndMine(tx(a, "set", u64(7), GasCause::kUpdateRoot));
+  const telemetry::GasMatrix before = chain.TotalGasMatrix();
+  const uint64_t a_before = chain.GasUsedBy(a);
+  const uint64_t b_before = chain.GasUsedBy(b);
+
+  // Block 2 charges every kind of cell under four causes; chain.reorg fires
+  // as it is sealed and orphans it.
+  const std::vector<Transaction> block2 = {
+      tx(a, "set", u64(9), GasCause::kUpdateRoot),      // sstore update
+      tx(b, "set", u64(5), GasCause::kReplicaInsert),   // sstore insert
+      tx(b, "emit", ToBytes("x"), GasCause::kDeliver),  // log
+      tx(b, "call", u64(a), GasCause::kGGetSync),       // internal sload
+  };
+  for (const Transaction& t : block2) chain.Submit(t);
+  chain.MineBlock();
+  ASSERT_EQ(faults.value()->Fires("chain.reorg"), 1u);
+  ASSERT_EQ(chain.CurrentBlockNumber(), 1u);
+
+  const telemetry::GasMatrix& after = chain.TotalGasMatrix();
+  for (size_t c = 0; c < telemetry::kNumGasComponents; ++c) {
+    for (size_t w = 0; w < telemetry::kNumGasCauses; ++w) {
+      EXPECT_EQ(after.cells[c][w], before.cells[c][w])
+          << telemetry::Name(static_cast<telemetry::GasComponent>(c)) << " x "
+          << telemetry::Name(static_cast<GasCause>(w));
+    }
+  }
+  EXPECT_EQ(chain.TotalBreakdown().ToString(),
+            GasBreakdown::Of(before).ToString());
+  EXPECT_EQ(chain.GasUsedBy(a), a_before);
+  EXPECT_EQ(chain.GasUsedBy(b), b_before);
+  EXPECT_EQ(chain.GasUsedBy(a) + chain.GasUsedBy(b), chain.TotalGasUsed());
+
+  // Not vacuous: the replayed block meters all four causes again.
+  chain.MineBlock();
+  const telemetry::GasMatrix replayed = chain.TotalGasMatrix() - before;
+  for (GasCause why : {GasCause::kUpdateRoot, GasCause::kReplicaInsert,
+                       GasCause::kDeliver, GasCause::kGGetSync}) {
+    EXPECT_GT(replayed.CauseTotal(why), 0u) << telemetry::Name(why);
+  }
+  EXPECT_GT(replayed.ComponentTotal(telemetry::GasComponent::kSstoreInsert),
+            0u);
+  EXPECT_GT(replayed.ComponentTotal(telemetry::GasComponent::kLog), 0u);
+}
+
 TEST(Blockchain, ResetGasCountersZeroesTotals) {
   Blockchain chain;
   Address addr = chain.Deploy(std::make_unique<EchoContract>());

@@ -141,13 +141,40 @@ TEST(GasMeter, EmptyCalldataTransactionIsExactlyBase) {
   EXPECT_EQ(meter.Breakdown().Total(), 21000u);
 }
 
-TEST(GasBreakdown, AdditionComposes) {
-  GasBreakdown a{.tx = 1, .storage_insert = 2, .storage_update = 3,
-                 .storage_read = 4, .hash = 5, .log = 6, .other = 7};
-  GasBreakdown b = a;
-  b += a;
-  EXPECT_EQ(b.tx, 2u);
-  EXPECT_EQ(b.Total(), 2 * a.Total());
+TEST(GasMeter, ChargeLandsInAmbientCauseCell) {
+  using telemetry::GasCause;
+  using telemetry::GasComponent;
+  using telemetry::GasSpan;
+  GasSchedule gas;
+  GasMeter meter(gas);
+  meter.ChargeRead(1);  // no span open: unattributed
+  {
+    GasSpan span(GasCause::kGGetSync);
+    meter.ChargeRead(2);
+    meter.ChargeHash(1);
+    meter.ChargeTx(100);  // splits into its base and calldata cells
+    {
+      GasSpan inner(GasCause::kReplicaInsert);
+      meter.ChargeInsert(1);
+    }
+  }
+
+  const telemetry::GasMatrix& m = meter.Matrix();
+  EXPECT_EQ(m.At(GasComponent::kSload, GasCause::kUnattributed), 200u);
+  EXPECT_EQ(m.At(GasComponent::kSload, GasCause::kGGetSync), 400u);
+  EXPECT_EQ(m.At(GasComponent::kHash, GasCause::kGGetSync), 36u);
+  EXPECT_EQ(m.At(GasComponent::kTxBase, GasCause::kGGetSync), 21000u);
+  EXPECT_EQ(m.At(GasComponent::kCalldata, GasCause::kGGetSync), 4u * 2176);
+  EXPECT_EQ(m.At(GasComponent::kSstoreInsert, GasCause::kReplicaInsert),
+            20000u);
+  EXPECT_EQ(m.ComponentTotal(GasComponent::kSload), 600u);
+  EXPECT_EQ(m.CauseTotal(GasCause::kGGetSync), 400u + 36 + 21000 + 4 * 2176);
+  // Each charge is recorded once: the total and the breakdown are views of
+  // the same cells.
+  EXPECT_EQ(meter.Used(), m.Total());
+  EXPECT_EQ(meter.Used(), 200u + 400 + 36 + 21000 + 4 * 2176 + 20000);
+  EXPECT_EQ(meter.Breakdown().tx, 21000u + 4 * 2176);
+  EXPECT_EQ(meter.Breakdown().Total(), meter.Used());
 }
 
 }  // namespace

@@ -11,7 +11,6 @@
 #include <vector>
 
 #include "grub/system.h"
-#include "telemetry/profile.h"
 #include "workload/trace.h"
 
 namespace grub::core {
@@ -271,17 +270,10 @@ TEST(SystemFault, KvFaultsReachTheSpBackingStore) {
   {
     // Without a db path there is no store to reach: neither the SP nor the
     // DO writes a KVStore while preloading and closing an epoch.
-    using telemetry::ProbeSite;
-    using telemetry::ProfileRegistry;
-    ProfileRegistry::Reset();
-    ProfileRegistry::Enable(true);
     GrubSystem system(WithSchedule("kv.wal.append_fail*"), MakeBL1());
     system.Preload(SmallFeed());
     system.Write(MakeKey(0), Bytes(32, 0x7A));
     system.EndEpoch();
-    ProfileRegistry::Enable(false);
-    const auto probes = ProfileRegistry::Snapshot();
-    EXPECT_EQ(probes[static_cast<size_t>(ProbeSite::kKvPut)].count, 0u);
     EXPECT_EQ(system.Faults()->Hits("kv.wal.append_fail"), 0u);
   }
 }

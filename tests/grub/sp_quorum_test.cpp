@@ -206,10 +206,8 @@ TEST(SpQuorum, RejectedCalldataIsNeverResentVerbatim) {
 TEST(SpQuorum, LivenessStallBlacklistsASilentActive) {
   // Replica 0 omits every batch: no rejection ever lands on chain, so only
   // the liveness watchdog (oldest pending unchanged for
-  // liveness_timeout_polls) can catch it.
-  SystemOptions options = WithQuorum(2, "0:omit*");
-  options.liveness_timeout_polls = 3;
-  GrubSystem system(options, MakeBL1());
+  // SpQuorum::kLivenessTimeoutPolls) can catch it.
+  GrubSystem system(WithQuorum(2, "0:omit*"), MakeBL1());
   system.Preload(SmallFeed());
   for (int i = 0; i < 6; ++i) system.ReadNow(MakeKey(0));
   EXPECT_GE(system.Quorum().Failovers(), 1u);

@@ -1,5 +1,9 @@
 // Storage-manager contract (Listing 2): authorization, replica lifecycle,
-// proof verification on-chain, and the BL3 trace-counter charging.
+// proof verification on-chain, and the BL3 trace-counter charging. The
+// contract only accepts a point delivery that answers a pending gGet miss,
+// so each deliver below follows a GGetTx of its key; the reverting cases
+// issue the miss too, so the proof check, not the request ledger, is what
+// rejects them.
 #include <gtest/gtest.h>
 
 #include "ads/sp.h"
@@ -89,16 +93,6 @@ TEST(StorageManager, UpdateRejectsNonDoSender) {
   EXPECT_EQ(receipt.status.code(), StatusCode::kFailedPrecondition);
 }
 
-TEST(StorageManager, AdditionalDoAccountsMayUpdate) {
-  StorageManagerContract::Config config;
-  config.additional_do_accounts = {21, 22};
-  Fixture f(config);
-  EXPECT_TRUE(f.PublishRoot({}, {}, 21).ok());
-  EXPECT_TRUE(f.PublishRoot({}, {}, 22).ok());
-  EXPECT_TRUE(f.PublishRoot({}, {}, kDo).ok());
-  EXPECT_FALSE(f.PublishRoot({}, {}, 23).ok());
-}
-
 TEST(StorageManager, MissEmitsRequestEvent) {
   Fixture f;
   auto receipt = f.GGetTx(MakeKey(1));
@@ -119,6 +113,7 @@ TEST(StorageManager, DeliverWithValidProofServesCallback) {
 
 TEST(StorageManager, DeliverWithForgedValueReverts) {
   Fixture f;
+  f.GGetTx(MakeKey(1));
   auto entry = f.EntryFor(MakeKey(1), false);
   entry.query.record.value = Bytes(32, 0xEE);
   auto receipt = f.Deliver({entry});
@@ -129,6 +124,7 @@ TEST(StorageManager, DeliverWithForgedValueReverts) {
 
 TEST(StorageManager, DeliverAgainstStaleRootReverts) {
   Fixture f;
+  f.GGetTx(MakeKey(1));
   auto stale_entry = f.EntryFor(MakeKey(1), false);
   // Root moves on after the proof was built.
   (void)f.sp.ApplyPut(
@@ -139,6 +135,7 @@ TEST(StorageManager, DeliverAgainstStaleRootReverts) {
 
 TEST(StorageManager, DeliverKeyMismatchReverts) {
   Fixture f;
+  f.GGetTx(MakeKey(2));
   auto entry = f.EntryFor(MakeKey(1), false);
   entry.key = MakeKey(2);  // claims to answer a different request
   EXPECT_FALSE(f.Deliver({entry}).ok());
@@ -146,6 +143,7 @@ TEST(StorageManager, DeliverKeyMismatchReverts) {
 
 TEST(StorageManager, ReplicateHintMaterializesReplica) {
   Fixture f;
+  f.GGetTx(MakeKey(3));
   ASSERT_TRUE(f.Deliver({f.EntryFor(MakeKey(3), true)}).ok());
   // Subsequent reads hit the replica: no request event.
   auto receipt = f.GGetTx(MakeKey(3));
@@ -156,6 +154,8 @@ TEST(StorageManager, ReplicateHintMaterializesReplica) {
 
 TEST(StorageManager, RedundantReplicaDeliveryIsCheap) {
   Fixture f;
+  f.GGetTx(MakeKey(3));
+  f.GGetTx(MakeKey(3));  // two misses pending: one per delivery
   ASSERT_TRUE(f.Deliver({f.EntryFor(MakeKey(3), true)}).ok());
   auto second = f.Deliver({f.EntryFor(MakeKey(3), true)});
   ASSERT_TRUE(second.ok());
@@ -166,6 +166,7 @@ TEST(StorageManager, RedundantReplicaDeliveryIsCheap) {
 
 TEST(StorageManager, UpdateRefreshesReplicaValue) {
   Fixture f;
+  f.GGetTx(MakeKey(3));
   ASSERT_TRUE(f.Deliver({f.EntryFor(MakeKey(3), true)}).ok());
   ads::FeedRecord fresh{MakeKey(3), Bytes(32, 0x77), ads::ReplState::kR};
   (void)f.sp.ApplyPut(fresh);
@@ -177,6 +178,7 @@ TEST(StorageManager, UpdateRefreshesReplicaValue) {
 
 TEST(StorageManager, EvictionInvalidatesReplicaCheaply) {
   Fixture f;
+  f.GGetTx(MakeKey(3));
   ASSERT_TRUE(f.Deliver({f.EntryFor(MakeKey(3), true)}).ok());
   auto receipt = f.PublishRoot({}, {MakeKey(3)});
   ASSERT_TRUE(receipt.ok());
@@ -197,6 +199,7 @@ TEST(StorageManager, EvictingAbsentReplicaIsANoOp) {
 
 TEST(StorageManager, ReplicaHitCostTracksTable2) {
   Fixture f;
+  f.GGetTx(MakeKey(3));
   ASSERT_TRUE(f.Deliver({f.EntryFor(MakeKey(3), true)}).ok());
   auto receipt = f.GGetTx(MakeKey(3));
   ASSERT_TRUE(receipt.ok());
@@ -242,6 +245,7 @@ TEST(StorageManager, AbsenceDeliveryInvokesMissCallback) {
 
 TEST(StorageManager, ForgedAbsenceOfLiveKeyReverts) {
   Fixture f;
+  f.GGetTx(MakeKey(3));
   DeliverEntry entry;
   entry.kind = DeliverEntry::Kind::kAbsence;
   entry.key = MakeKey(3);  // exists!

@@ -166,7 +166,7 @@ TEST(MultiFeed, FeedsAreIsolatedOnOneChain) {
   expect_feed_values(f1, "kv");
 }
 
-TEST(MultiFeed, GasAttributionIsExactAndExhaustive) {
+TEST(MultiFeed, FeedGasIsExactAndExhaustive) {
   SystemOptions a;
   a.ops_per_tx = 4;
   FeedOptions b;

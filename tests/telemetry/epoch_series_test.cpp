@@ -1,4 +1,4 @@
-// EpochSeries: delta semantics (rows sum to the attribution total) and the
+// EpochSeries: delta semantics (rows sum to the matrix total) and the
 // CSV / JSON-lines export formats.
 #include <gtest/gtest.h>
 
@@ -10,67 +10,66 @@
 namespace grub::telemetry {
 namespace {
 
-void RecordSome(GasAttribution& attribution, uint64_t sload, uint64_t tx) {
-  GasSpan span(GasCause::kGGetSync);
-  attribution.Record(GasComponent::kSload, sload);
-  attribution.Record(GasComponent::kTxBase, tx);
+void RecordSome(GasMatrix& gas, uint64_t sload, uint64_t tx) {
+  gas.Add(GasComponent::kSload, GasCause::kGGetSync, sload);
+  gas.Add(GasComponent::kTxBase, GasCause::kGGetSync, tx);
 }
 
 TEST(EpochSeries, RowsAreDeltasAndSumToTotal) {
-  GasAttribution attribution;
+  GasMatrix gas;
   EpochSeries series;
 
-  RecordSome(attribution, 200, 21000);
-  const EpochRow& row0 = series.Close(32, attribution);
+  RecordSome(gas, 200, 21000);
+  const EpochRow& row0 = series.Close(32, gas, {});
   EXPECT_EQ(row0.epoch, 0u);
   EXPECT_EQ(row0.ops, 32u);
   EXPECT_EQ(row0.GasTotal(), 21200u);
 
-  RecordSome(attribution, 400, 21000);
-  const EpochRow& row1 = series.Close(16, attribution);
+  RecordSome(gas, 400, 21000);
+  const EpochRow& row1 = series.Close(16, gas, {});
   EXPECT_EQ(row1.epoch, 1u);
   EXPECT_EQ(row1.GasTotal(), 21400u);  // delta, not cumulative
   EXPECT_EQ(row1.gas.At(GasComponent::kSload, GasCause::kGGetSync), 400u);
 
-  EXPECT_EQ(series.RowSum().Total(), attribution.Total());
+  EXPECT_EQ(series.RowSum().Total(), gas.Total());
 }
 
 TEST(EpochSeries, GasPerOpDividesByOps) {
-  GasAttribution attribution;
+  GasMatrix gas;
   EpochSeries series;
-  RecordSome(attribution, 0, 42000);
-  EXPECT_DOUBLE_EQ(series.Close(21, attribution).GasPerOp(), 2000.0);
-  EXPECT_DOUBLE_EQ(series.Close(0, attribution).GasPerOp(), 0.0);
+  RecordSome(gas, 0, 42000);
+  EXPECT_DOUBLE_EQ(series.Close(21, gas, {}).GasPerOp(), 2000.0);
+  EXPECT_DOUBLE_EQ(series.Close(0, gas, {}).GasPerOp(), 0.0);
 }
 
-TEST(EpochSeries, ResetBaselineSkipsPreResetGas) {
-  GasAttribution attribution;
+TEST(EpochSeries, ResetBaselineSkipsGasBeforeTheReset) {
+  GasMatrix gas;
   EpochSeries series;
 
-  RecordSome(attribution, 999, 999);  // warm-up noise
-  series.ResetBaseline(attribution);
+  RecordSome(gas, 999, 999);  // warm-up noise
+  series.ResetBaseline(gas);
 
-  RecordSome(attribution, 200, 21000);
-  EXPECT_EQ(series.Close(1, attribution).GasTotal(), 21200u);
+  RecordSome(gas, 200, 21000);
+  EXPECT_EQ(series.Close(1, gas, {}).GasTotal(), 21200u);
 }
 
 TEST(EpochSeries, ClearDropsRowsKeepsBaseline) {
-  GasAttribution attribution;
+  GasMatrix gas;
   EpochSeries series;
-  RecordSome(attribution, 100, 100);
-  series.Close(1, attribution);
+  RecordSome(gas, 100, 100);
+  series.Close(1, gas, {});
   series.Clear();
   EXPECT_TRUE(series.Rows().empty());
 
-  RecordSome(attribution, 50, 0);
-  EXPECT_EQ(series.Close(1, attribution).GasTotal(), 50u);  // delta only
+  RecordSome(gas, 50, 0);
+  EXPECT_EQ(series.Close(1, gas, {}).GasTotal(), 50u);  // delta only
 }
 
 TEST(EpochSeries, CsvExportShapeAndValues) {
-  GasAttribution attribution;
+  GasMatrix gas;
   EpochSeries series;
-  RecordSome(attribution, 200, 21000);
-  series.Close(32, attribution);
+  RecordSome(gas, 200, 21000);
+  series.Close(32, gas, {});
 
   std::ostringstream out;
   series.WriteCsv(out);
@@ -93,12 +92,12 @@ TEST(EpochSeries, CsvExportShapeAndValues) {
 }
 
 TEST(EpochSeries, JsonLinesExportOneObjectPerEpoch) {
-  GasAttribution attribution;
+  GasMatrix gas;
   EpochSeries series;
-  RecordSome(attribution, 200, 21000);
-  series.Close(32, attribution);
-  RecordSome(attribution, 0, 21000);
-  series.Close(8, attribution);
+  RecordSome(gas, 200, 21000);
+  series.Close(32, gas, {});
+  RecordSome(gas, 0, 21000);
+  series.Close(8, gas, {});
 
   std::ostringstream out;
   series.WriteJsonLines(out);

@@ -1,5 +1,6 @@
-// GasSpan / GasAttribution: the ambient-cause scoping rules and the matrix
-// arithmetic the epoch exporter depends on.
+// GasSpan / GasMatrix: the ambient-cause scoping rules and the matrix
+// arithmetic the epoch exporter depends on. How the chain's meter routes
+// charges into cells is pinned in tests/chain/gas_test.cpp.
 #include <gtest/gtest.h>
 
 #include "telemetry/gas_attribution.h"
@@ -25,37 +26,6 @@ TEST(GasSpan, NestsInnermostWinsAndRestores) {
   EXPECT_EQ(GasSpan::Current(), GasCause::kUnattributed);
 }
 
-TEST(GasAttribution, RecordLandsInAmbientCauseCell) {
-  GasAttribution attribution;
-  attribution.Record(GasComponent::kSload, 200);
-  {
-    GasSpan span(GasCause::kGGetSync);
-    attribution.Record(GasComponent::kSload, 400);
-    attribution.Record(GasComponent::kHash, 36);
-  }
-
-  const GasMatrix m = attribution.Snapshot();
-  EXPECT_EQ(m.At(GasComponent::kSload, GasCause::kUnattributed), 200u);
-  EXPECT_EQ(m.At(GasComponent::kSload, GasCause::kGGetSync), 400u);
-  EXPECT_EQ(m.At(GasComponent::kHash, GasCause::kGGetSync), 36u);
-  EXPECT_EQ(m.ComponentTotal(GasComponent::kSload), 600u);
-  EXPECT_EQ(m.CauseTotal(GasCause::kGGetSync), 436u);
-  EXPECT_EQ(m.Total(), 636u);
-  EXPECT_EQ(attribution.Total(), 636u);
-}
-
-TEST(GasAttribution, ResetZeroesEveryCell) {
-  GasAttribution attribution;
-  {
-    GasSpan span(GasCause::kUpdateRoot);
-    attribution.Record(GasComponent::kSstoreUpdate, 5000);
-  }
-  EXPECT_GT(attribution.Total(), 0u);
-  attribution.Reset();
-  EXPECT_EQ(attribution.Total(), 0u);
-  EXPECT_EQ(attribution.Snapshot().Total(), 0u);
-}
-
 TEST(GasMatrix, ArithmeticComposes) {
   GasMatrix a;
   a.cells[0][0] = 10;
@@ -71,7 +41,7 @@ TEST(GasMatrix, ArithmeticComposes) {
   EXPECT_EQ(d.Total(), a.Total());
 }
 
-TEST(GasAttribution, NamesCoverEveryEnumerator) {
+TEST(GasMatrix, NamesCoverEveryEnumerator) {
   for (size_t c = 0; c < kNumGasComponents; ++c) {
     EXPECT_STRNE(Name(static_cast<GasComponent>(c)), "");
   }

@@ -58,30 +58,21 @@ void CheckAgainstGolden(const char* file, const std::string& actual) {
 
 /// Deterministic two-epoch series touching the robustness columns.
 EpochSeries MakeSeries() {
-  GasAttribution attribution;
+  GasMatrix gas;
   EpochSeries series;
-  {
-    GasSpan span(GasCause::kGGetSync);
-    attribution.Record(GasComponent::kTxBase, 21000);
-    attribution.Record(GasComponent::kSload, 200);
-  }
-  series.Close(32, attribution);
-  {
-    GasSpan span(GasCause::kDeliver);
-    attribution.Record(GasComponent::kCalldata, 1088);
-  }
-  {
-    // A rejected deliver's verification work books under proof-reject.
-    GasSpan span(GasCause::kProofReject);
-    attribution.Record(GasComponent::kHash, 60);
-  }
+  gas.Add(GasComponent::kTxBase, GasCause::kGGetSync, 21000);
+  gas.Add(GasComponent::kSload, GasCause::kGGetSync, 200);
+  series.Close(32, gas, RobustnessTotals{});
+  gas.Add(GasComponent::kCalldata, GasCause::kDeliver, 1088);
+  // A rejected deliver's verification work books under proof-reject.
+  gas.Add(GasComponent::kHash, GasCause::kProofReject, 60);
   RobustnessTotals robustness;
   robustness.fault_fires = 2;
   robustness.retries = 1;
   robustness.degraded = 1;
   robustness.deliver_rejections = 1;
   robustness.sp_failovers = 1;
-  series.Close(8, attribution, robustness);
+  series.Close(8, gas, robustness);
   return series;
 }
 
@@ -90,13 +81,10 @@ EpochSeries MakeSeries() {
 /// monitor-off output is unchanged.
 EpochSeries MakeHeatSeries() {
   EpochSeries series = MakeSeries();
-  GasAttribution attribution;
-  {
-    GasSpan span(GasCause::kGGetSync);
-    attribution.Record(GasComponent::kSload, 400);
-  }
-  series.ResetBaseline(GasAttribution{});
-  series.Close(16, attribution, RobustnessTotals{}, /*touched_shards=*/1,
+  GasMatrix gas;
+  gas.Add(GasComponent::kSload, GasCause::kGGetSync, 400);
+  series.ResetBaseline(GasMatrix{});
+  series.Close(16, gas, RobustnessTotals{}, /*touched_shards=*/1,
                /*shard_heat=*/{1.5, 0.25});
   return series;
 }

@@ -6,7 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <map>
+#include <unordered_map>
 #include <vector>
 
 #include "telemetry/percentile.h"
@@ -55,7 +55,7 @@ TEST(SpaceSavingSketch, BoundsHoldAgainstGroundTruthUnderEviction) {
   // Deterministic skewed stream over a key space 4x the capacity: key k
   // appears roughly 64/(k+1) times, so evictions churn the tail constantly.
   SpaceSavingSketch sketch(8);
-  std::map<Bytes, uint64_t> truth;
+  std::unordered_map<Bytes, uint64_t, BytesHash, BytesEqual> truth;
   for (uint8_t k = 0; k < 32; ++k) {
     const int reps = 64 / (k + 1);
     for (int r = 0; r < reps; ++r) {

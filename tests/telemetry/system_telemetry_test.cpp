@@ -1,8 +1,9 @@
 // End-to-end telemetry invariants over a driven GrubSystem:
-//   1. the attribution matrix total equals the blockchain's metered total —
-//      every unit of Gas is attributed, exactly once;
-//   2. per-epoch rows sum to that same total (the time series is lossless);
-//   3. component sums agree with the chain's own GasBreakdown categories;
+//   1. the chain's Gas matrix total equals the metered total and the
+//      per-contract totals — every unit of Gas is attributed, exactly once;
+//   2. per-epoch rows sum to that same total (the time series is lossless),
+//      also across a counter reset;
+//   3. the tx-base and calldata components match the mined transactions;
 //   4. attaching telemetry changes no Gas result (bit-identical totals).
 #include <gtest/gtest.h>
 
@@ -31,15 +32,17 @@ GrubSystem MakeSystem(bool telemetry, double ratio = 4) {
 }
 
 TEST(SystemTelemetry, AttributionTotalEqualsChainTotal) {
-  auto system = MakeSystem(/*telemetry=*/true);
+  // The chain keeps its matrix with telemetry off too.
+  auto system = MakeSystem(/*telemetry=*/false);
   system.Preload(SomeRecords(64, 32));
   auto trace = workload::FixedRatioTrace(/*ratio=*/4, /*ops=*/512, 32);
   system.Drive(trace);
 
-  ASSERT_NE(system.Metrics(), nullptr);
-  const auto matrix = system.Metrics()->Gas().Snapshot();
+  const auto& matrix = system.Chain().TotalGasMatrix();
   EXPECT_GT(system.TotalGas(), 0u);
   EXPECT_EQ(matrix.Total(), system.TotalGas());
+  // Per-contract totals are summed from receipts, apart from the matrix.
+  EXPECT_EQ(system.FeedGas(0), matrix.Total());
 }
 
 TEST(SystemTelemetry, EpochRowsSumExactlyToChainTotal) {
@@ -71,15 +74,30 @@ TEST(SystemTelemetry, EpochRowsSumExactlyToChainTotal) {
 TEST(SystemTelemetry, ComponentSumsMatchChainBreakdown) {
   auto system = MakeSystem(/*telemetry=*/true);
   system.Preload(SomeRecords(64, 32));
+  const size_t first_block = system.Chain().Blocks().size();
   auto trace = workload::FixedRatioTrace(/*ratio=*/2, /*ops=*/256, 32);
   system.Drive(trace);
 
   using telemetry::GasComponent;
-  const auto matrix = system.Metrics()->Gas().Snapshot();
-  const auto& breakdown = system.TotalBreakdown();
+  const auto& matrix = system.Chain().TotalGasMatrix();
+  const auto breakdown = system.TotalBreakdown();
 
-  // Ctx splits into base + calldata in the attribution; together they must
-  // reproduce the chain's lump tx category.
+  // Recompute Ctx(X) from the mined transactions: the base per transaction
+  // and the per-word calldata.
+  const chain::GasSchedule& gas = system.Chain().Params().gas;
+  const auto& blocks = system.Chain().Blocks();
+  uint64_t txs = 0;
+  uint64_t calldata_words = 0;
+  for (size_t b = first_block; b < blocks.size(); ++b) {
+    for (const auto& tx : blocks[b].transactions) {
+      txs += 1;
+      calldata_words += WordsForBytes(tx.CalldataBytes());
+    }
+  }
+  ASSERT_GT(txs, 0u);
+  EXPECT_EQ(matrix.ComponentTotal(GasComponent::kTxBase), txs * gas.tx_base);
+  EXPECT_EQ(matrix.ComponentTotal(GasComponent::kCalldata),
+            calldata_words * gas.tx_per_word);
   EXPECT_EQ(matrix.ComponentTotal(GasComponent::kTxBase) +
                 matrix.ComponentTotal(GasComponent::kCalldata),
             breakdown.tx);
@@ -101,7 +119,7 @@ TEST(SystemTelemetry, CausesCoverTheGrubCodePaths) {
   system.Drive(trace);
 
   using telemetry::GasCause;
-  const auto matrix = system.Metrics()->Gas().Snapshot();
+  const auto& matrix = system.Chain().TotalGasMatrix();
   // A mixed read/write run exercises the sync-read, deliver, and
   // root-update paths.
   EXPECT_GT(matrix.CauseTotal(GasCause::kGGetSync), 0u);
@@ -156,16 +174,27 @@ TEST(SystemTelemetry, GasTotalsBitIdenticalWithTelemetryOnOrOff) {
             without.TotalBreakdown().storage_insert);
 }
 
-TEST(SystemTelemetry, ResetGasCountersKeepsMatrixInLockstep) {
+TEST(SystemTelemetry, ResetGasCountersRebaselinesTheEpochSeries) {
+  // grubctl --converged: a warm-up pass, a counter reset, then a measured
+  // pass whose epoch rows must add up to the measured Gas alone, cell by
+  // cell.
   auto system = MakeSystem(/*telemetry=*/true);
   system.Preload(SomeRecords(64, 32));
   auto trace = workload::FixedRatioTrace(/*ratio=*/4, /*ops=*/256, 32);
   system.Drive(trace);  // warm up
   system.Chain().ResetGasCounters();
-  EXPECT_EQ(system.Metrics()->Gas().Total(), 0u);
+  EXPECT_EQ(system.TotalGas(), 0u);
+  system.Metrics()->Epochs().Clear();
 
   system.Drive(trace);
-  EXPECT_EQ(system.Metrics()->Gas().Total(), system.TotalGas());
+  const auto sum = system.Metrics()->Epochs().RowSum();
+  const auto& matrix = system.Chain().TotalGasMatrix();
+  EXPECT_GT(sum.Total(), 0u);
+  for (size_t c = 0; c < telemetry::kNumGasComponents; ++c) {
+    for (size_t w = 0; w < telemetry::kNumGasCauses; ++w) {
+      EXPECT_EQ(sum.cells[c][w], matrix.cells[c][w]) << c << " x " << w;
+    }
+  }
 }
 
 }  // namespace

@@ -151,15 +151,15 @@ TEST(ProfileRegistry, SampledProbesCountEveryHit) {
   constexpr int kHits = 20;
   volatile uint64_t sink = 0;
   for (int i = 0; i < kHits; ++i) {
-    GRUB_PROBE(ProbeSite::kKvGet);
+    GRUB_PROBE(ProbeSite::kCodecDecode);
     // Enough work that a sampled hit reads a nonzero clock delta.
     for (int j = 0; j < 2000; ++j) sink = sink + static_cast<uint64_t>(j);
   }
   ProfileRegistry::Enable(false);
 
   const auto snapshot = ProfileRegistry::Snapshot();
-  const auto& probe = snapshot[static_cast<size_t>(ProbeSite::kKvGet)];
-  EXPECT_STREQ(probe.name, "kv.get");
+  const auto& probe = snapshot[static_cast<size_t>(ProbeSite::kCodecDecode)];
+  EXPECT_STREQ(probe.name, "codec.decode");
   // Every hit is counted even though only 1-in-kSampleEvery reads the clock.
   EXPECT_EQ(probe.count, static_cast<uint64_t>(kHits));
   // The first hit is always sampled, so an exercised site reports time.
@@ -178,9 +178,9 @@ TEST(ProfileRegistry, SampledProbesCountEveryHit) {
 TEST(ProfileRegistry, DisabledProbesCostNoCounts) {
   ProfileRegistry::Reset();
   ProfileRegistry::Enable(false);
-  { GRUB_PROBE(ProbeSite::kKvPut); }
+  { GRUB_PROBE(ProbeSite::kMerkleUpdate); }
   const auto snapshot = ProfileRegistry::Snapshot();
-  EXPECT_EQ(snapshot[static_cast<size_t>(ProbeSite::kKvPut)].count, 0u);
+  EXPECT_EQ(snapshot[static_cast<size_t>(ProbeSite::kMerkleUpdate)].count, 0u);
 }
 
 TEST(ProfileRegistry, ResetClearsEverything) {

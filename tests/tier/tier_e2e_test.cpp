@@ -70,6 +70,7 @@ TEST(TierE2E, FreshDaemonServesLogTierFromReceiptReplay) {
 struct ContractFixture {
   static constexpr chain::Address kDo = 11;
   static constexpr chain::Address kSp = 12;
+  static constexpr chain::Address kUser = 13;
 
   ContractFixture() {
     StorageManagerContract::Config config;
@@ -87,6 +88,17 @@ struct ContractFixture {
     tx.function = StorageManagerContract::kUpdateFn;
     tx.calldata = StorageManagerContract::EncodeUpdate(
         /*shard_count=*/1, Hash256::FromU64(1), epoch++, {}, {}, {}, tiered);
+    return chain.SubmitAndMine(std::move(tx));
+  }
+
+  /// A gGet miss on `key`: the pending request a delivery must answer.
+  chain::Receipt GGetTx(const Bytes& key) {
+    consumer->QueueRead(key);
+    chain::Transaction tx;
+    tx.from = kUser;
+    tx.to = consumer_address;
+    tx.function = ConsumerContract::kRunFn;
+    tx.calldata = ConsumerContract::EncodeRun(1);
     return chain.SubmitAndMine(std::move(tx));
   }
 
@@ -120,6 +132,7 @@ TEST(TierE2E, DigestMismatchIsRejectedOnChain) {
   pin.entries.push_back(
       {tier::StorageTier::kLog, ads::FeedRecord{key, value, ads::ReplState::kNR}});
   ASSERT_TRUE(f.Update(pin).ok());
+  ASSERT_EQ(f.GGetTx(key).events.size(), 1u);  // the miss a delivery answers
 
   // A forged value hashes to the wrong digest: the deliver reverts and no
   // callback fires. The genuine value then verifies against the same pin.
@@ -142,10 +155,12 @@ TEST(TierE2E, UnpinnedKeyRejectsDigestDelivers) {
   pin.entries.push_back(
       {tier::StorageTier::kLog, ads::FeedRecord{key, value, ads::ReplState::kNR}});
   ASSERT_TRUE(f.Update(pin).ok());
+  f.GGetTx(key);
   ASSERT_TRUE(f.DeliverDigest(key, value).ok());
 
   // The key leaves the log tier: the unpin zeroes the digest slot, so even
-  // the previously-valid value can no longer be delivered by digest.
+  // the previously-valid value, answering a fresh miss, can no longer be
+  // delivered by digest.
   TierSuffix unpin;
   unpin.unpins = {key};
   auto receipt = f.Update(unpin);
@@ -155,7 +170,10 @@ TEST(TierE2E, UnpinnedKeyRejectsDigestDelivers) {
     saw_unpin_event |= event.name == StorageManagerContract::kUnpinEvent;
   }
   EXPECT_TRUE(saw_unpin_event);
-  EXPECT_FALSE(f.DeliverDigest(key, value).ok());
+  f.GGetTx(key);
+  auto rejected = f.DeliverDigest(key, value);
+  EXPECT_FALSE(rejected.ok());
+  EXPECT_NE(rejected.status.message().find("digest"), std::string::npos);
 }
 
 // What one tier-only update() carries: the shard of its records (the DO

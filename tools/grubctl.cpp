@@ -950,7 +950,7 @@ int main(int argc, char** argv) {
       // Sparse component x cause attribution, same cell naming as the
       // BENCH_*.json schema ("component/cause": amount, zero cells absent).
       JsonValue matrix = JsonValue::Object();
-      const telemetry::GasMatrix snapshot = system.Metrics()->Gas().Snapshot();
+      const telemetry::GasMatrix& snapshot = system.Chain().TotalGasMatrix();
       for (size_t c = 0; c < telemetry::kNumGasComponents; ++c) {
         for (size_t w = 0; w < telemetry::kNumGasCauses; ++w) {
           if (snapshot.cells[c][w] == 0) continue;
@@ -1037,7 +1037,7 @@ int main(int argc, char** argv) {
 
   if (args.gas_breakdown && text) {
     std::printf("\n");
-    telemetry::PrintGasBreakdown(system.Metrics()->Gas().Snapshot());
+    telemetry::PrintGasBreakdown(system.Chain().TotalGasMatrix());
   }
   if (!args.metrics_out.empty()) {
     std::ofstream out(args.metrics_out, std::ios::trunc);
