@@ -1,25 +1,47 @@
 #include "ads/record.h"
 
+#include "crypto/sha256.h"
+
 namespace grub::ads {
 
 namespace {
-void PutU32(Bytes& out, uint32_t v) {
-  out.push_back(static_cast<uint8_t>(v));
-  out.push_back(static_cast<uint8_t>(v >> 8));
-  out.push_back(static_cast<uint8_t>(v >> 16));
-  out.push_back(static_cast<uint8_t>(v >> 24));
+void PutU32(uint8_t* out, uint32_t v) {
+  out[0] = static_cast<uint8_t>(v);
+  out[1] = static_cast<uint8_t>(v >> 8);
+  out[2] = static_cast<uint8_t>(v >> 16);
+  out[3] = static_cast<uint8_t>(v >> 24);
 }
 }  // namespace
 
 Bytes FeedRecord::Serialize() const {
   Bytes out;
   out.reserve(SerializedBytes());
-  out.push_back(static_cast<uint8_t>(state));
-  PutU32(out, static_cast<uint32_t>(key.size()));
-  Append(out, key);
-  PutU32(out, static_cast<uint32_t>(value.size()));
-  Append(out, value);
+  SerializeTo(out);
   return out;
+}
+
+void FeedRecord::SerializeTo(Bytes& out) const {
+  uint8_t head[5];
+  head[0] = static_cast<uint8_t>(state);
+  PutU32(head + 1, static_cast<uint32_t>(key.size()));
+  uint8_t value_len[4];
+  PutU32(value_len, static_cast<uint32_t>(value.size()));
+  out.insert(out.end(), head, head + sizeof head);
+  Append(out, key);
+  out.insert(out.end(), value_len, value_len + sizeof value_len);
+  Append(out, value);
+}
+
+Hash256 FeedRecord::LeafHash() const {
+  // prefix | state | key_len, key, val_len, value: the bytes
+  // MerkleTree::HashLeafData(Serialize()) hashes, through one probed digest.
+  uint8_t head[6];
+  head[0] = MerkleTree::kLeafPrefix;
+  head[1] = static_cast<uint8_t>(state);
+  PutU32(head + 2, static_cast<uint32_t>(key.size()));
+  uint8_t value_len[4];
+  PutU32(value_len, static_cast<uint32_t>(value.size()));
+  return Sha256::DigestParts({head, key, value_len, value});
 }
 
 Result<FeedRecord> FeedRecord::Deserialize(ByteSpan data) {

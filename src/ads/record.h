@@ -35,10 +35,13 @@ struct FeedRecord {
 
   /// Canonical byte encoding: u8 state | u32 key_len | key | u32 val_len | value.
   Bytes Serialize() const;
+  /// Appends the canonical encoding to `out` (SerializedBytes() bytes).
+  void SerializeTo(Bytes& out) const;
   static Result<FeedRecord> Deserialize(ByteSpan data);
 
-  /// Leaf hash over the canonical encoding (domain-separated).
-  Hash256 LeafHash() const { return MerkleTree::HashLeafData(Serialize()); }
+  /// Leaf hash over the canonical encoding (domain-separated), hashed in
+  /// parts without building the encoding.
+  Hash256 LeafHash() const;
 
   /// Calldata footprint in bytes when shipped on chain.
   uint64_t SerializedBytes() const { return 1 + 4 + key.size() + 4 + value.size(); }

@@ -9,9 +9,8 @@ namespace {
 
 /// Leaf hash with cost accounting (1 prefix byte + record encoding).
 Hash256 CostedLeafHash(const FeedRecord& record, const HashCostFn& cost) {
-  Bytes encoded = record.Serialize();
-  cost(encoded.size() + 1);
-  return MerkleTree::HashLeafData(encoded);
+  cost(record.SerializedBytes() + 1);
+  return record.LeafHash();
 }
 
 /// Charges the inner-node hashes a range/audit verification performs.

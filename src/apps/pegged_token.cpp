@@ -145,7 +145,7 @@ Status PeggedToken::HandleOpen(chain::CallContext& ctx, ByteSpan args) {
         HeightKey(start_height + i), address(), CallbackFor(request_id));
     auto result = ctx.InternalCall(config_.storage_manager,
                                    core::StorageManagerContract::kGGetFn,
-                                   gget_args);
+                                   std::move(gget_args));
     if (!result.ok()) return result.status();
   }
   return Status::Ok();

@@ -110,7 +110,7 @@ Status SCoinIssuer::StartOrder(chain::CallContext& ctx, bool is_issue,
       config_.price_key, address(), kOnPriceFn);
   auto result = ctx.InternalCall(config_.storage_manager,
                                  core::StorageManagerContract::kGGetFn,
-                                 gget_args);
+                                 std::move(gget_args));
   const bool pending = g_transient_order.has_value();
   g_transient_order.reset();
   if (!result.ok()) return result.status();

@@ -109,7 +109,6 @@ std::vector<Receipt> Blockchain::MineBlockInternal(bool respect_propagation) {
   }
   mempool_ = std::move(not_yet_propagated);
   blocks_.push_back(std::move(block));
-  last_receipts_ = receipts;
   if (GRUB_FAULT_POINT(faults_, "chain.reorg")) ReorgNonFinalBlocks();
   return receipts;
 }
@@ -274,7 +273,7 @@ Receipt Blockchain::StaticCall(Address to, const std::string& function,
 Result<Bytes> Blockchain::ExecuteInternalCall(GasMeter& meter, Address caller,
                                               Address to,
                                               const std::string& function,
-                                              ByteSpan args) {
+                                              Bytes args) {
   Contract* contract = At(to);
   if (contract == nullptr) {
     return Status::NotFound("internal call: no contract at target");
@@ -284,13 +283,17 @@ Result<Bytes> Blockchain::ExecuteInternalCall(GasMeter& meter, Address caller,
       CallRecord{.caller = caller,
                  .contract = to,
                  .function = function,
-                 .calldata = Bytes(args.begin(), args.end()),
+                 .calldata = std::move(args),
                  .block_number = CurrentBlockNumber() + 1,
                  .internal = true});
+  // The record holds the one copy of the calldata. Nested calls may grow
+  // the history, but records move on reallocation and a moved vector keeps
+  // its buffer, so this view stays valid for the whole call.
+  const ByteSpan calldata = call_history_.back().calldata;
 
   CallContext ctx(*this, meter, MeteredStorage(storages_[to], meter), to,
                   caller, CurrentBlockNumber() + 1);
-  Status status = contract->Call(ctx, function, args);
+  Status status = contract->Call(ctx, function, calldata);
   call_history_[call_record_index].ok = status.ok();
   if (!status.ok()) return status;
   return std::move(ctx.ReturnData());
@@ -307,20 +310,15 @@ void Blockchain::RecordEvent(Address contract, const std::string& name,
   if (!in_static_call_) event_log_.push_back(std::move(event));
 }
 
-std::vector<EventRecord> Blockchain::EventsSince(uint64_t from_log_index) const {
-  std::vector<EventRecord> out;
+std::span<const EventRecord> Blockchain::EventsSince(
+    uint64_t from_log_index) const {
   // Log indices are dense and ascending; binary-search the start.
-  size_t lo = 0, hi = event_log_.size();
-  while (lo < hi) {
-    size_t mid = (lo + hi) / 2;
-    if (event_log_[mid].log_index < from_log_index) {
-      lo = mid + 1;
-    } else {
-      hi = mid;
-    }
-  }
-  out.assign(event_log_.begin() + static_cast<long>(lo), event_log_.end());
-  return out;
+  const auto first =
+      std::partition_point(event_log_.begin(), event_log_.end(),
+                           [from_log_index](const EventRecord& e) {
+                             return e.log_index < from_log_index;
+                           });
+  return {first, event_log_.end()};
 }
 
 uint64_t Blockchain::FinalizedBlockNumber() const {
@@ -357,8 +355,9 @@ Hash256 CallContext::MeteredHash(ByteSpan data) {
 }
 
 Result<Bytes> CallContext::InternalCall(Address to, const std::string& function,
-                                        ByteSpan args) {
-  return chain_.ExecuteInternalCall(meter_, self_, to, function, args);
+                                        Bytes args) {
+  return chain_.ExecuteInternalCall(meter_, self_, to, function,
+                                    std::move(args));
 }
 
 }  // namespace grub::chain

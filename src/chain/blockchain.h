@@ -18,6 +18,7 @@
 
 #include <deque>
 #include <memory>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -65,13 +66,15 @@ class Blockchain {
   // --- used by CallContext ---
   Result<Bytes> ExecuteInternalCall(GasMeter& meter, Address caller,
                                     Address to, const std::string& function,
-                                    ByteSpan args);
+                                    Bytes args);
   void RecordEvent(Address contract, const std::string& name, ByteSpan data);
 
   // --- observability ---
   const std::vector<EventRecord>& EventLog() const { return event_log_; }
-  /// Events with log_index >= from (the watchdog's tailing interface).
-  std::vector<EventRecord> EventsSince(uint64_t from_log_index) const;
+  /// Events with log_index >= from (the watchdog's tailing interface): a
+  /// view of the log, so callers finish reading it before the next
+  /// transaction runs.
+  std::span<const EventRecord> EventsSince(uint64_t from_log_index) const;
   /// The log index the next emitted event will get (== one past the newest).
   uint64_t NextLogIndex() const { return next_log_index_; }
   const std::vector<CallRecord>& CallHistory() const { return call_history_; }
@@ -161,7 +164,6 @@ class Blockchain {
   };
   std::deque<PendingTx> mempool_;
   std::vector<Block> blocks_;
-  std::vector<Receipt> last_receipts_;
 
   std::vector<EventRecord> event_log_;
   std::vector<CallRecord> call_history_;

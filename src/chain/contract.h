@@ -46,9 +46,11 @@ class CallContext {
   Hash256 MeteredHash(ByteSpan data);
 
   /// Internal call to another contract (no transaction cost; same meter).
-  /// The callee's return data lands in the result on success.
+  /// The calldata moves into the call's history record, and the callee
+  /// reads it there in place. The callee's return data lands in the result
+  /// on success.
   Result<Bytes> InternalCall(Address to, const std::string& function,
-                             ByteSpan args);
+                             Bytes args);
 
   /// Sets the return data of the current frame.
   void Return(Bytes data) { return_data_ = std::move(data); }

@@ -12,7 +12,9 @@
 // base key, like Solidity's storage arrays.
 #pragma once
 
-#include <unordered_map>
+#include <cstdint>
+#include <cstring>
+#include <vector>
 
 #include "common/bytes.h"
 #include "common/hash256.h"
@@ -21,25 +23,61 @@
 namespace grub::chain {
 
 /// Raw per-contract backing store; unmetered access is for inspection only.
+///
+/// One flat open-addressing table: each (key, value) word pair sits inline
+/// in its slot, probed linearly from a home slot, with power-of-two growth
+/// and backward-shift deletion (no tombstones). A zero value marks an empty
+/// slot, since storing zero erases. The table is copied by value into the
+/// chain's reorg snapshots and has no iteration API, so its layout never
+/// reaches Gas or output.
 class ContractStorage {
  public:
   Word Load(const Word& key) const {
-    auto it = slots_.find(key);
-    return it == slots_.end() ? Word{} : it->second;
-  }
-
-  void Store(const Word& key, const Word& value) {
-    if (value.IsZero()) {
-      slots_.erase(key);
-    } else {
-      slots_[key] = value;
+    if (slots_.empty()) return Word{};
+    for (size_t i = Home(key);; i = (i + 1) & Mask()) {
+      const Slot& slot = slots_[i];
+      if (IsEmpty(slot)) return Word{};
+      if (slot.key == key) return slot.value;
     }
   }
 
-  size_t SlotCount() const { return slots_.size(); }
+  void Store(const Word& key, const Word& value);
+
+  size_t SlotCount() const { return size_; }
 
  private:
-  std::unordered_map<Word, Word> slots_;
+  struct Slot {
+    Word key;
+    Word value;  // zero = empty slot
+  };
+
+  static bool IsEmpty(const Slot& slot) {
+    uint64_t q[4];
+    std::memcpy(q, slot.value.bytes.data(), sizeof q);
+    return (q[0] | q[1] | q[2] | q[3]) == 0;
+  }
+
+  /// Mixes both ends of the key: digest keys are uniform in their first
+  /// quadword, while blob slots (SlotKey(base, w)) and small-integer words
+  /// differ only in the last.
+  size_t Home(const Word& key) const {
+    uint64_t head, tail;
+    std::memcpy(&head, key.bytes.data(), 8);
+    std::memcpy(&tail, key.bytes.data() + 24, 8);
+    uint64_t h = head ^ tail;
+    h ^= h >> 33;
+    h *= 0xFF51AFD7ED558CCDULL;
+    h ^= h >> 33;
+    h *= 0xC4CEB9FE1A85EC53ULL;
+    h ^= h >> 33;
+    return static_cast<size_t>(h) & Mask();
+  }
+
+  size_t Mask() const { return slots_.size() - 1; }
+  void Grow();
+
+  std::vector<Slot> slots_;  // empty, or a power-of-two count
+  size_t size_ = 0;
 };
 
 /// The storage view handed to executing contracts; every access is charged.

@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "common/bytes.h"
@@ -76,6 +77,11 @@ struct CallRecord {
   /// nothing on chain.
   bool ok = true;
 };
+// An executing callee reads its calldata in place from its CallRecord while
+// nested calls append to the history. The span survives the vector's
+// reallocation only because records move, never copy, and a moved vector
+// keeps its buffer.
+static_assert(std::is_nothrow_move_constructible_v<CallRecord>);
 
 struct Receipt {
   Status status = Status::Ok();

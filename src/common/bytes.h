@@ -60,6 +60,11 @@ inline std::string_view AsChars(ByteSpan data) {
   return {reinterpret_cast<const char*>(data.data()), data.size()};
 }
 
+/// A string's characters viewed as bytes, without a copy.
+inline ByteSpan BytesOf(std::string_view s) {
+  return {reinterpret_cast<const uint8_t*>(s.data()), s.size()};
+}
+
 /// Transparent hash and equality for hashed containers keyed by `Bytes`:
 /// `find` and `count` accept any byte span, so a lookup never builds a key.
 /// Iteration order of such a container is unspecified; it must never reach

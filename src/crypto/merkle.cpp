@@ -20,7 +20,6 @@ size_t CapacityFor(size_t n) {
 }  // namespace
 
 Hash256 MerkleTree::HashLeafData(ByteSpan data) {
-  static constexpr uint8_t kLeafPrefix = 0x00;
   return Sha256::Digest2(ByteSpan(&kLeafPrefix, 1), data);
 }
 

@@ -128,7 +128,9 @@ class MerkleTree {
       const std::vector<std::pair<size_t, Hash256>>& leaves,
       const MerkleMultiProof& proof);
 
-  /// Leaf hash of record bytes: SHA256(0x00 || data).
+  /// Domain-separation byte that starts every leaf hash's input.
+  static constexpr uint8_t kLeafPrefix = 0x00;
+  /// Leaf hash of record bytes: SHA256(kLeafPrefix || data).
   static Hash256 HashLeafData(ByteSpan data);
   /// Inner-node hash: SHA256(0x01 || left || right).
   static Hash256 HashNode(const Hash256& left, const Hash256& right);

@@ -253,6 +253,13 @@ Hash256 Sha256::Digest2(ByteSpan a, ByteSpan b) {
   return h.Finish();
 }
 
+Hash256 Sha256::DigestParts(std::initializer_list<ByteSpan> parts) {
+  GRUB_PROBE(telemetry::ProbeSite::kSha256Digest);
+  Sha256 h;
+  for (ByteSpan part : parts) h.Update(part);
+  return h.Finish();
+}
+
 Hash256 HmacSha256(ByteSpan key, ByteSpan message) {
   uint8_t k[64] = {0};
   if (key.size() > 64) {

@@ -14,6 +14,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <initializer_list>
 
 #include "common/bytes.h"
 #include "common/hash256.h"
@@ -34,6 +35,8 @@ class Sha256 {
   static Hash256 Digest(ByteSpan data);
   /// Digest of the concatenation of two spans (avoids a copy).
   static Hash256 Digest2(ByteSpan a, ByteSpan b);
+  /// Digest of the concatenation of `parts`, hashed in place.
+  static Hash256 DigestParts(std::initializer_list<ByteSpan> parts);
 
  private:
   uint32_t state_[8];

@@ -4,8 +4,45 @@
 
 namespace grub::core {
 
+namespace {
+
+// Each size below mirrors the encoder of the same shape, field by field: a
+// u64 is 8 bytes, a blob 8 + its length, a hash list 8 + 32 per hash.
+
+uint64_t HashListBytes(const std::vector<Hash256>& hashes) {
+  return 8 + 32 * hashes.size();
+}
+
+uint64_t QueryProofBytes(const ads::QueryProof& proof) {
+  return EncodedRecordBytes(proof.record) + 8 + 8 +
+         HashListBytes(proof.path.siblings);
+}
+
+uint64_t AbsenceProofBytes(const ads::AbsenceProof& proof) {
+  uint64_t bytes = 8;
+  for (const auto& record : proof.boundary) bytes += EncodedRecordBytes(record);
+  return bytes + 8 + 8 + 8 + HashListBytes(proof.range.complement);
+}
+
+uint64_t ScanProofBytes(const ads::ScanProof& proof) {
+  uint64_t bytes = 8;
+  for (const auto& record : proof.records) bytes += EncodedRecordBytes(record);
+  bytes += 8;
+  if (proof.left_neighbor) bytes += EncodedRecordBytes(*proof.left_neighbor);
+  bytes += 8;
+  if (proof.right_neighbor) bytes += EncodedRecordBytes(*proof.right_neighbor);
+  return bytes + 8 + 8 + 8 + HashListBytes(proof.range.complement);
+}
+
+}  // namespace
+
+void EncodeRecord(chain::AbiWriter& w, const ads::FeedRecord& record) {
+  w.BlobWith(record.SerializedBytes(),
+             [&record](Bytes& out) { record.SerializeTo(out); });
+}
+
 void EncodeQueryProof(chain::AbiWriter& w, const ads::QueryProof& proof) {
-  w.Blob(proof.record.Serialize());
+  EncodeRecord(w, proof.record);
   w.U64(proof.index);
   w.U64(proof.capacity);
   w.HashList(proof.path.siblings);
@@ -13,7 +50,7 @@ void EncodeQueryProof(chain::AbiWriter& w, const ads::QueryProof& proof) {
 
 Result<ads::QueryProof> DecodeQueryProof(chain::AbiReader& r) {
   ads::QueryProof proof;
-  auto record = ads::FeedRecord::Deserialize(r.Blob());
+  auto record = ads::FeedRecord::Deserialize(r.BlobView());
   if (!record.ok()) return record.status();
   proof.record = std::move(record).value();
   proof.index = r.U64();
@@ -24,7 +61,7 @@ Result<ads::QueryProof> DecodeQueryProof(chain::AbiReader& r) {
 
 void EncodeAbsenceProof(chain::AbiWriter& w, const ads::AbsenceProof& proof) {
   w.U64(proof.boundary.size());
-  for (const auto& record : proof.boundary) w.Blob(record.Serialize());
+  for (const auto& record : proof.boundary) EncodeRecord(w, record);
   w.U64(proof.empty_tail ? 1 : 0);
   w.U64(proof.lo);
   w.U64(proof.capacity);
@@ -35,7 +72,7 @@ Result<ads::AbsenceProof> DecodeAbsenceProof(chain::AbiReader& r) {
   ads::AbsenceProof proof;
   const uint64_t n = r.U64();
   for (uint64_t i = 0; i < n; ++i) {
-    auto record = ads::FeedRecord::Deserialize(r.Blob());
+    auto record = ads::FeedRecord::Deserialize(r.BlobView());
     if (!record.ok()) return record.status();
     proof.boundary.push_back(std::move(record).value());
   }
@@ -48,11 +85,11 @@ Result<ads::AbsenceProof> DecodeAbsenceProof(chain::AbiReader& r) {
 
 void EncodeScanProof(chain::AbiWriter& w, const ads::ScanProof& proof) {
   w.U64(proof.records.size());
-  for (const auto& record : proof.records) w.Blob(record.Serialize());
+  for (const auto& record : proof.records) EncodeRecord(w, record);
   w.U64(proof.left_neighbor ? 1 : 0);
-  if (proof.left_neighbor) w.Blob(proof.left_neighbor->Serialize());
+  if (proof.left_neighbor) EncodeRecord(w, *proof.left_neighbor);
   w.U64(proof.right_neighbor ? 1 : 0);
-  if (proof.right_neighbor) w.Blob(proof.right_neighbor->Serialize());
+  if (proof.right_neighbor) EncodeRecord(w, *proof.right_neighbor);
   w.U64(proof.empty_tail ? 1 : 0);
   w.U64(proof.lo);
   w.U64(proof.capacity);
@@ -63,17 +100,17 @@ Result<ads::ScanProof> DecodeScanProof(chain::AbiReader& r) {
   ads::ScanProof proof;
   const uint64_t n = r.U64();
   for (uint64_t i = 0; i < n; ++i) {
-    auto record = ads::FeedRecord::Deserialize(r.Blob());
+    auto record = ads::FeedRecord::Deserialize(r.BlobView());
     if (!record.ok()) return record.status();
     proof.records.push_back(std::move(record).value());
   }
   if (r.U64() != 0) {
-    auto record = ads::FeedRecord::Deserialize(r.Blob());
+    auto record = ads::FeedRecord::Deserialize(r.BlobView());
     if (!record.ok()) return record.status();
     proof.left_neighbor = std::move(record).value();
   }
   if (r.U64() != 0) {
-    auto record = ads::FeedRecord::Deserialize(r.Blob());
+    auto record = ads::FeedRecord::Deserialize(r.BlobView());
     if (!record.ok()) return record.status();
     proof.right_neighbor = std::move(record).value();
   }
@@ -104,7 +141,7 @@ void EncodeDeliverEntry(chain::AbiWriter& w, const DeliverEntry& entry) {
       break;
   }
   w.U64(entry.callback_contract);
-  w.Blob(ToBytes(entry.callback_function));
+  w.Blob(BytesOf(entry.callback_function));
   w.U64(entry.repeats);
   w.U64(entry.replicate_hint ? 1 : 0);
 }
@@ -141,10 +178,30 @@ Result<DeliverEntry> DecodeDeliverEntry(chain::AbiReader& r) {
       break;
   }
   entry.callback_contract = r.U64();
-  entry.callback_function = ToString(r.Blob());
+  entry.callback_function = AsChars(r.BlobView());
   entry.repeats = r.U64();
   entry.replicate_hint = r.U64() != 0;
   return entry;
+}
+
+uint64_t DeliverEntryBytes(const DeliverEntry& entry) {
+  uint64_t bytes = 8 + 8 + entry.key.size();  // kind, key
+  switch (entry.kind) {
+    case DeliverEntry::Kind::kQuery:
+      bytes += QueryProofBytes(entry.query);
+      break;
+    case DeliverEntry::Kind::kAbsence:
+      bytes += AbsenceProofBytes(entry.absence);
+      break;
+    case DeliverEntry::Kind::kScan:
+      bytes += 8 + entry.end_key.size() + ScanProofBytes(entry.scan);
+      break;
+    case DeliverEntry::Kind::kDigest:
+      bytes += 8 + entry.value.size();
+      break;
+  }
+  // callback contract, callback name, repeats, replicate hint
+  return bytes + 8 + 8 + entry.callback_function.size() + 8 + 8;
 }
 
 uint64_t EncodedRecordBytes(const ads::FeedRecord& record) {

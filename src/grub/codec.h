@@ -60,6 +60,10 @@ Result<ads::ScanProof> DecodeScanProof(chain::AbiReader& r);
 
 void EncodeDeliverEntry(chain::AbiWriter& w, const DeliverEntry& entry);
 Result<DeliverEntry> DecodeDeliverEntry(chain::AbiReader& r);
+/// Exact bytes EncodeDeliverEntry writes for `entry` (deliver calldata is
+/// sized with it, and the SP daemon packs batches against the Ctx(X) bound
+/// with it).
+uint64_t DeliverEntryBytes(const DeliverEntry& entry);
 
 // ---- update-calldata parts (StorageManagerContract::EncodeUpdate writes
 // them, and its Update*Bytes functions size them) ----
@@ -82,9 +86,12 @@ struct TierSuffix {
   bool empty() const { return entries.empty() && unpins.empty(); }
 };
 
-/// Bytes one AbiWriter::Blob(record.Serialize()) occupies in calldata:
-/// the u64 blob length plus the record encoding. THE shared size unit —
-/// every update-path size estimate routes through it.
+/// Writes `record` as one blob, its canonical encoding serialized straight
+/// into the calldata.
+void EncodeRecord(chain::AbiWriter& w, const ads::FeedRecord& record);
+/// Bytes EncodeRecord writes: the u64 blob length plus the record
+/// encoding. THE shared size unit — every calldata size function routes
+/// through it.
 uint64_t EncodedRecordBytes(const ads::FeedRecord& record);
 
 }  // namespace grub::core

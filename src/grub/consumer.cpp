@@ -12,7 +12,10 @@ namespace {
 // the transaction's replay payload; a replay decodes it instead.
 Bytes EncodeBatch(const std::vector<Bytes>& keys,
                   const std::vector<std::pair<Bytes, Bytes>>& scans) {
-  chain::AbiWriter w;
+  uint64_t size = 8 + 8;  // the two counts
+  for (const auto& key : keys) size += 8 + key.size();
+  for (const auto& [start, end] : scans) size += 16 + start.size() + end.size();
+  chain::AbiWriter w(size);
   w.U64(keys.size());
   for (const auto& key : keys) w.Blob(key);
   w.U64(scans.size());
@@ -71,10 +74,9 @@ Status ConsumerContract::Call(chain::CallContext& ctx,
                                 ctx.BlockNumber());
         }
       }
-      Bytes gget_args =
-          StorageManagerContract::EncodeGGet(key, address(), kOnDataFn);
-      auto result = ctx.InternalCall(manager_, StorageManagerContract::kGGetFn,
-                                     gget_args);
+      auto result = ctx.InternalCall(
+          manager_, StorageManagerContract::kGGetFn,
+          StorageManagerContract::EncodeGGet(key, address(), kOnDataFn));
       if (!result.ok()) return result.status();
     }
     for (const auto& [start, end] : scans) {
@@ -87,26 +89,29 @@ Status ConsumerContract::Call(chain::CallContext& ctx,
                                 ctx.BlockNumber());
         }
       }
-      Bytes gscan_args = StorageManagerContract::EncodeGScan(
-          start, end, address(), kOnDataFn);
       auto result = ctx.InternalCall(
-          manager_, StorageManagerContract::kGScanFn, gscan_args);
+          manager_, StorageManagerContract::kGScanFn,
+          StorageManagerContract::EncodeGScan(start, end, address(),
+                                              kOnDataFn));
       if (!result.ok()) return result.status();
     }
     return Status::Ok();
   }
 
   if (function == kOnDataFn) {
+    // Read in place from this call's calldata; only a delivered value is
+    // copied, into the received log.
     chain::AbiReader r(args);
-    Bytes key = r.Blob();
-    Bytes value = r.Blob();
+    const ByteSpan key = r.BlobView();
+    const ByteSpan value = r.BlobView();
     const bool found = r.U64() != 0;
     if (tracer_ != nullptr) {
       tracer_->CompleteRequest(key, ctx.BlockNumber(), found);
     }
     if (found) {
       values_received_ += 1;
-      received_.emplace_back(std::move(key), std::move(value));
+      received_.emplace_back(Bytes(key.begin(), key.end()),
+                             Bytes(value.begin(), value.end()));
     } else {
       misses_received_ += 1;
     }

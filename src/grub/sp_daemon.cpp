@@ -25,7 +25,7 @@ void SpDaemon::FoldLogEvents() {
     log_values_.clear();
     log_fold_cursor_ = 0;
   }
-  auto events = chain_.EventsSince(log_fold_cursor_);
+  const auto events = chain_.EventsSince(log_fold_cursor_);
   if (!events.empty()) log_fold_cursor_ = events.back().log_index + 1;
   for (const auto& event : events) {
     if (event.contract != manager_) continue;
@@ -36,7 +36,9 @@ void SpDaemon::FoldLogEvents() {
       log_values_[std::move(key)] = std::move(value);
     } else if (event.name == StorageManagerContract::kUnpinEvent) {
       chain::AbiReader r(event.data);
-      log_values_.erase(r.Blob());
+      if (auto it = log_values_.find(r.BlobView()); it != log_values_.end()) {
+        log_values_.erase(it);
+      }
     }
   }
 }
@@ -145,7 +147,9 @@ size_t SpDaemon::PollAndServe() {
   FoldLogEvents();
 
   const uint64_t batch_start = cursor_;
-  auto events = chain_.EventsSince(cursor_);
+  // A view of the log: read only while building the batch, before the
+  // deliver below runs a transaction.
+  const auto events = chain_.EventsSince(cursor_);
   if (!events.empty()) cursor_ = events.back().log_index + 1;
 
   // Dedup a read burst: identical (key, callback) requests in one poll share
@@ -157,26 +161,19 @@ size_t SpDaemon::PollAndServe() {
   // back to that event: the remaining requests are still pending on chain
   // and the next poll serves them — the cursor IS the chunking state.
   uint64_t batch_bytes = 8;  // the entry-count word
-  const auto encoded_entry_bytes = [](const DeliverEntry& entry) -> uint64_t {
-    chain::AbiWriter w;
-    EncodeDeliverEntry(w, entry);
-    return w.Take().size();
-  };
   for (const auto& event : events) {
     if (event.contract != manager_) continue;
     if (event.name == StorageManagerContract::kRequestScanEvent) {
       chain::AbiReader r(event.data);
-      DeliverEntry entry;
-      entry.kind = DeliverEntry::Kind::kScan;
-      entry.key = r.Blob();
-      entry.end_key = r.Blob();
-      entry.callback_contract = r.U64();
-      entry.callback_function = ToString(r.Blob());
+      const ByteSpan start = r.BlobView();
+      const ByteSpan end = r.BlobView();
+      const chain::Address callback_contract = r.U64();
+      const std::string_view callback_function = AsChars(r.BlobView());
       // A scan crossing shard boundaries is answered with one entry per
       // shard part (each proven against its own shard root); the contract
       // rejects entries that straddle a boundary. Single-shard deployments
       // get exactly one part covering the requested range.
-      auto parts = sp_.ScanSharded(entry.key, entry.end_key);
+      auto parts = sp_.ScanSharded(start, end);
       if (!parts.ok()) continue;
       std::vector<DeliverEntry> part_entries;
       for (auto& part : parts.value()) {
@@ -184,13 +181,13 @@ size_t SpDaemon::PollAndServe() {
         part_entry.kind = DeliverEntry::Kind::kScan;
         part_entry.key = part.start;
         part_entry.end_key = part.end;
-        part_entry.callback_contract = entry.callback_contract;
-        part_entry.callback_function = entry.callback_function;
+        part_entry.callback_contract = callback_contract;
+        part_entry.callback_function = callback_function;
         part_entry.scan = std::move(part.proof);
         part_entries.push_back(std::move(part_entry));
       }
       uint64_t add = 0;
-      for (const auto& pe : part_entries) add += encoded_entry_bytes(pe);
+      for (const auto& pe : part_entries) add += DeliverEntryBytes(pe);
       if (!entries.empty() &&
           batch_bytes + add >= chain::GasSchedule::kMaxCalldataBytes) {
         cursor_ = event.log_index;
@@ -203,14 +200,17 @@ size_t SpDaemon::PollAndServe() {
     if (event.name != StorageManagerContract::kRequestEvent) {
       continue;
     }
+    // The request is read in place from the event; the entry copies the
+    // key and callback name once.
     chain::AbiReader r(event.data);
-    Bytes key = r.Blob();
+    const ByteSpan key = r.BlobView();
     const chain::Address callback_contract = r.U64();
-    const std::string callback_function = ToString(r.Blob());
+    const std::string_view callback_function = AsChars(r.BlobView());
 
     if (dedup_batch_) {
-      if (auto it = index_of.find(
-              std::make_tuple(key, callback_contract, callback_function));
+      if (auto it = index_of.find(std::make_tuple(
+              Bytes(key.begin(), key.end()), callback_contract,
+              std::string(callback_function)));
           it != index_of.end()) {
         entries[it->second].repeats += 1;
         continue;
@@ -218,7 +218,7 @@ size_t SpDaemon::PollAndServe() {
     }
 
     DeliverEntry entry;
-    entry.key = key;
+    entry.key.assign(key.begin(), key.end());
     entry.callback_contract = callback_contract;
     entry.callback_function = callback_function;
 
@@ -246,7 +246,7 @@ size_t SpDaemon::PollAndServe() {
         entry.absence = std::move(absence).value();
       }
     }
-    const uint64_t add = encoded_entry_bytes(entry);
+    const uint64_t add = DeliverEntryBytes(entry);
     if (!entries.empty() &&
         batch_bytes + add >= chain::GasSchedule::kMaxCalldataBytes) {
       cursor_ = event.log_index;
@@ -254,9 +254,9 @@ size_t SpDaemon::PollAndServe() {
     }
     batch_bytes += add;
     if (dedup_batch_) {
-      index_of.emplace(
-          std::make_tuple(key, callback_contract, callback_function),
-          entries.size());
+      index_of.emplace(std::make_tuple(entry.key, callback_contract,
+                                       entry.callback_function),
+                       entries.size());
     }
     entries.push_back(std::move(entry));
   }

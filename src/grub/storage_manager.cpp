@@ -13,16 +13,6 @@ namespace grub::core {
 using chain::AbiReader;
 using chain::AbiWriter;
 
-namespace {
-
-// A string's bytes viewed in place. Slots are derived several times per op,
-// so the tags are hashed from their literals rather than copied to the heap.
-ByteSpan BytesOf(std::string_view s) {
-  return {reinterpret_cast<const uint8_t*>(s.data()), s.size()};
-}
-
-}  // namespace
-
 Word StorageManagerContract::RootSlot() {
   static const Word slot = Sha256::Digest(BytesOf("grub.root"));
   return slot;
@@ -42,20 +32,19 @@ Word StorageManagerContract::CounterSlot(ByteSpan key) {
 
 Word StorageManagerContract::PendingSlot(ByteSpan key,
                                          chain::Address callback_contract,
-                                         const std::string& callback_function) {
+                                         std::string_view callback_function) {
   // Fingerprint of one outstanding point request: the ledger guarding
   // deliver() against replayed or unsolicited entries counts per identity,
   // exactly the identity the SP daemon's dedup and the request tracker use.
-  AbiWriter w;
-  w.Blob(key);
-  w.U64(callback_contract);
-  w.Blob(BytesOf(callback_function));
-  return Sha256::Digest2(BytesOf("grub.pending"), w.Take());
+  // The identity is encoded as gGet's calldata is.
+  return Sha256::Digest2(
+      BytesOf("grub.pending"),
+      EncodeGGet(key, callback_contract, callback_function));
 }
 
 void StorageManagerContract::NotePendingRequest(
     chain::CallContext& ctx, ByteSpan key, chain::Address callback_contract,
-    const std::string& callback_function) {
+    std::string_view callback_function) {
   // Unmetered bookkeeping: the ledger is a detection aid, not part of the
   // paper's protocol, so it must not move a single Gas number. It lives in
   // the backing ContractStorage (snapshotted across reorgs), never in C++
@@ -111,7 +100,17 @@ Bytes StorageManagerContract::EncodeUpdate(
     const std::vector<std::pair<uint64_t, Hash256>>& shard_roots,
     const std::vector<ads::FeedRecord>& replicated,
     const std::vector<Bytes>& evictions, const TierSuffix& tiered) {
-  AbiWriter w;
+  uint64_t size = UpdateBaseBytes(shard_count, shard_roots.size());
+  for (const auto& record : replicated) size += EncodedRecordBytes(record);
+  for (const auto& key : evictions) size += UpdateKeyBytes(key);
+  if (!tiered.empty()) {
+    size += kUpdateTierCountBytes;
+    for (const auto& entry : tiered.entries) {
+      size += UpdateTierEntryBytes(entry);
+    }
+    for (const auto& key : tiered.unpins) size += UpdateKeyBytes(key);
+  }
+  AbiWriter w(size);
   w.Hash(digest);
   w.U64(epoch);
   if (shard_count > 1) {
@@ -122,14 +121,14 @@ Bytes StorageManagerContract::EncodeUpdate(
     }
   }
   w.U64(replicated.size());
-  for (const auto& record : replicated) w.Blob(record.Serialize());
+  for (const auto& record : replicated) EncodeRecord(w, record);
   w.U64(evictions.size());
   for (const auto& key : evictions) w.Blob(key);
   if (!tiered.empty()) {
     w.U64(tiered.entries.size());
     for (const auto& entry : tiered.entries) {
       w.U64(static_cast<uint64_t>(entry.tier));
-      w.Blob(entry.record.Serialize());
+      EncodeRecord(w, entry.record);
     }
     w.U64(tiered.unpins.size());
     for (const auto& key : tiered.unpins) w.Blob(key);
@@ -146,28 +145,31 @@ uint64_t StorageManagerContract::UpdateBaseBytes(size_t shard_count,
 
 Bytes StorageManagerContract::EncodeGGet(ByteSpan key,
                                          chain::Address callback_contract,
-                                         const std::string& callback_function) {
-  AbiWriter w;
+                                         std::string_view callback_function) {
+  AbiWriter w(8 + key.size() + 8 + 8 + callback_function.size());
   w.Blob(key);
   w.U64(callback_contract);
-  w.Blob(ToBytes(callback_function));
+  w.Blob(BytesOf(callback_function));
   return w.Take();
 }
 
 Bytes StorageManagerContract::EncodeGScan(ByteSpan start, ByteSpan end,
                                           chain::Address callback_contract,
-                                          const std::string& callback_function) {
-  AbiWriter w;
+                                          std::string_view callback_function) {
+  AbiWriter w(8 + start.size() + 8 + end.size() + 8 + 8 +
+              callback_function.size());
   w.Blob(start);
   w.Blob(end);
   w.U64(callback_contract);
-  w.Blob(ToBytes(callback_function));
+  w.Blob(BytesOf(callback_function));
   return w.Take();
 }
 
 Bytes StorageManagerContract::EncodeDeliver(
     const std::vector<DeliverEntry>& entries) {
-  AbiWriter w;
+  uint64_t size = 8;
+  for (const auto& entry : entries) size += DeliverEntryBytes(entry);
+  AbiWriter w(size);
   w.U64(entries.size());
   for (const auto& entry : entries) EncodeDeliverEntry(w, entry);
   return w.Take();
@@ -245,7 +247,7 @@ Status StorageManagerContract::ApplyReplicationSuffix(chain::CallContext& ctx,
   // Full-value updates for records whose replica lives on chain.
   const uint64_t n_updates = r.U64();
   for (uint64_t i = 0; i < n_updates; ++i) {
-    auto record = ads::FeedRecord::Deserialize(r.Blob());
+    auto record = ads::FeedRecord::Deserialize(r.BlobView());
     if (!record.ok()) return record.status();
     if (config_.trace_writes_on_chain) ChargeTraceCounter(ctx, record->key);
 
@@ -268,7 +270,7 @@ Status StorageManagerContract::ApplyReplicationSuffix(chain::CallContext& ctx,
   // is one cheap slot write.
   const uint64_t n_evictions = r.U64();
   for (uint64_t i = 0; i < n_evictions; ++i) {
-    Bytes key = r.Blob();
+    const ByteSpan key = r.BlobView();
     telemetry::GasSpan span(telemetry::GasCause::kReplicaEvict);
     ctx.Meter().ChargeHash(WordsForBytes(key.size() + 32));
     const Word len_slot = LenSlot(key);
@@ -288,7 +290,7 @@ Status StorageManagerContract::ApplyTierSuffix(chain::CallContext& ctx,
     if (tier_tag >= tier::kNumStorageTiers) {
       return Status::InvalidArgument("update: bad tier tag");
     }
-    auto record = ads::FeedRecord::Deserialize(r.Blob());
+    auto record = ads::FeedRecord::Deserialize(r.BlobView());
     if (!record.ok()) return record.status();
     const auto t = static_cast<tier::StorageTier>(tier_tag);
     if (t == tier::StorageTier::kLog) {
@@ -300,7 +302,7 @@ Status StorageManagerContract::ApplyTierSuffix(chain::CallContext& ctx,
       ctx.Meter().ChargeHash(WordsForBytes(record->value.size()));
       ctx.Storage().SStore(DigestSlot(record->key),
                            Sha256::Digest(record->value));
-      AbiWriter w;
+      AbiWriter w(8 + record->key.size() + 8 + record->value.size());
       w.Blob(record->key);
       w.Blob(record->value);
       ctx.EmitEvent(kDataEvent, w.Take());
@@ -313,13 +315,13 @@ Status StorageManagerContract::ApplyTierSuffix(chain::CallContext& ctx,
   // Unpins: keys leaving the log tier. Zero the pin and tell replaying SPs.
   const uint64_t n_unpins = r.U64();
   for (uint64_t i = 0; i < n_unpins; ++i) {
-    Bytes key = r.Blob();
+    const ByteSpan key = r.BlobView();
     telemetry::GasSpan span(telemetry::GasCause::kLogPin);
     ctx.Meter().ChargeHash(WordsForBytes(key.size() + 32));
     const Word slot = DigestSlot(key);
     if (ctx.Storage().SLoad(slot) == Word{}) continue;  // no pin to drop
     ctx.Storage().SStore(slot, Word{});
-    AbiWriter w;
+    AbiWriter w(8 + key.size());
     w.Blob(key);
     ctx.EmitEvent(kUnpinEvent, w.Take());
   }
@@ -329,10 +331,12 @@ Status StorageManagerContract::ApplyTierSuffix(chain::CallContext& ctx,
 Status StorageManagerContract::HandleGGet(chain::CallContext& ctx,
                                           ByteSpan args) {
   telemetry::GasSpan span(telemetry::GasCause::kGGetSync);
+  // Read in place: the views point into this call's calldata, which its
+  // call record owns for the whole run.
   AbiReader r(args);
-  Bytes key = r.Blob();
+  const ByteSpan key = r.BlobView();
   const chain::Address callback_contract = r.U64();
-  const std::string callback_function = ToString(r.Blob());
+  const std::string_view callback_function = AsChars(r.BlobView());
 
   if (config_.trace_reads_on_chain) ChargeTraceCounter(ctx, key);
 
@@ -342,16 +346,14 @@ Status StorageManagerContract::HandleGGet(chain::CallContext& ctx,
   if (len_tag != 0) {
     // Replica hit: serve from contract storage.
     Bytes value = ctx.Storage().SLoadBytes(ValueBase(key), len_tag - 1);
-    return InvokeCallback(ctx, callback_contract, callback_function, key,
-                          value, /*found=*/true);
+    return InvokeCallback(ctx, callback_contract,
+                          std::string(callback_function), key, value,
+                          /*found=*/true);
   }
 
   // Miss: emit the request event for the SP watchdog.
-  AbiWriter w;
-  w.Blob(key);
-  w.U64(callback_contract);
-  w.Blob(ToBytes(callback_function));
-  ctx.EmitEvent(kRequestEvent, w.Take());
+  ctx.EmitEvent(kRequestEvent,
+                EncodeGGet(key, callback_contract, callback_function));
   NotePendingRequest(ctx, key, callback_contract, callback_function);
   return Status::Ok();
 }
@@ -363,18 +365,14 @@ Status StorageManagerContract::HandleGScan(chain::CallContext& ctx,
   // with on-chain replicas ride the proven range response.
   telemetry::GasSpan span(telemetry::GasCause::kGGetSync);
   AbiReader r(args);
-  Bytes start = r.Blob();
-  Bytes end = r.Blob();
+  const ByteSpan start = r.BlobView();
+  const ByteSpan end = r.BlobView();
   const chain::Address callback_contract = r.U64();
-  const std::string callback_function = ToString(r.Blob());
+  const std::string_view callback_function = AsChars(r.BlobView());
   if (config_.trace_reads_on_chain) ChargeTraceCounter(ctx, start);
 
-  AbiWriter w;
-  w.Blob(start);
-  w.Blob(end);
-  w.U64(callback_contract);
-  w.Blob(ToBytes(callback_function));
-  ctx.EmitEvent(kRequestScanEvent, w.Take());
+  ctx.EmitEvent(kRequestScanEvent,
+                EncodeGScan(start, end, callback_contract, callback_function));
   return Status::Ok();
 }
 
@@ -435,17 +433,26 @@ Status StorageManagerContract::HandleDeliver(chain::CallContext& ctx,
     auto entry = DecodeDeliverEntry(r);
     if (!entry.ok()) return entry.status();
 
+    // `repeats` is SP input that sets how many times the callbacks run, so
+    // it is bounded before anything runs: a point entry by the requests
+    // still pending for its identity, a scan entry (no ledger; the daemon
+    // never merges scans) to exactly one.
     if (entry->kind != DeliverEntry::Kind::kScan) {
       // Checked before any verification is paid for: a replayed delivery is
-      // detectable from the ledger alone.
+      // detectable from the ledger alone. Compared by subtraction, so an
+      // inflated count cannot wrap `taken` back under the pending count.
       const Word slot = PendingSlot(entry->key, entry->callback_contract,
                                     entry->callback_function);
       uint64_t& taken = claimed[slot];
-      taken += entry->repeats;
-      if (backing.Load(slot).ToU64() < taken) {
+      const uint64_t pending = backing.Load(slot).ToU64();
+      if (taken > pending || entry->repeats > pending - taken) {
         return Status::IntegrityViolation(
             "deliver: replayed or unsolicited point request");
       }
+      taken += entry->repeats;
+    } else if (entry->repeats != 1) {
+      return Status::IntegrityViolation(
+          "deliver: a scan entry answers exactly one request");
     }
 
     if (entry->kind == DeliverEntry::Kind::kScan) {
@@ -576,7 +583,7 @@ Status StorageManagerContract::InvokeCallback(chain::CallContext& ctx,
                                               ByteSpan key, ByteSpan value,
                                               bool found) {
   if (contract == chain::kNullAddress) return Status::Ok();
-  AbiWriter w;
+  AbiWriter w(8 + key.size() + 8 + value.size() + 8);
   w.Blob(key);
   w.Blob(value);
   w.U64(found ? 1 : 0);

@@ -28,15 +28,18 @@
 //                              invoke callbacks. kDigest entries skip the
 //                              Merkle path: hash(value) must equal the
 //                              pinned digest (one sload + one hash). Each
-//                              point entry must answer a gGet miss still
-//                              pending in an unmetered ledger, so replayed
-//                              or unsolicited entries revert
+//                              point entry must answer `repeats` gGet
+//                              misses still pending in an unmetered
+//                              ledger, so replayed or unsolicited entries
+//                              revert; a scan entry answers exactly one
+//                              request
 //
 // BL3 flags charge on-chain trace maintenance (§5.1's dynamic-replication
 // baselines that keep the read / read+write trace on chain).
 #pragma once
 
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -109,11 +112,14 @@ class StorageManagerContract : public chain::Contract {
   /// The tier suffix's two counts, written only when the suffix is not empty.
   static constexpr uint64_t kUpdateTierCountBytes = 8 + 8;
 
+  // The per-op encoders write into a buffer reserved at the exact encoded
+  // size. The `request` event carries gGet's calldata layout, and
+  // `request_scan` gScan's.
   static Bytes EncodeGGet(ByteSpan key, chain::Address callback_contract,
-                          const std::string& callback_function);
+                          std::string_view callback_function);
   static Bytes EncodeGScan(ByteSpan start, ByteSpan end,
                            chain::Address callback_contract,
-                           const std::string& callback_function);
+                           std::string_view callback_function);
   static Bytes EncodeDeliver(const std::vector<DeliverEntry>& entries);
 
   static constexpr const char* kUpdateFn = "update";
@@ -138,6 +144,11 @@ class StorageManagerContract : public chain::Contract {
   /// Storage slot of `key`'s replica length tag (value size + 1; zero = no
   /// live replica). Exposed for tests.
   static Word LenSlot(ByteSpan key);
+
+  /// Slot of the pending-request ledger counting outstanding gGet misses
+  /// for one (key, callback) identity. Exposed for tests.
+  static Word PendingSlot(ByteSpan key, chain::Address callback_contract,
+                          std::string_view callback_function);
 
   /// Streams gGet replica hit/miss outcomes into the workload observatory.
   /// Observation-only — recorded after the Gas-metered serve/emit decision,
@@ -166,13 +177,11 @@ class StorageManagerContract : public chain::Contract {
   static Word RootSlot();
   static Word ValueBase(ByteSpan key);
   static Word CounterSlot(ByteSpan key);
-  static Word PendingSlot(ByteSpan key, chain::Address callback_contract,
-                          const std::string& callback_function);
 
   /// Counts an emitted gGet miss in the pending ledger (unmetered).
   void NotePendingRequest(chain::CallContext& ctx, ByteSpan key,
                           chain::Address callback_contract,
-                          const std::string& callback_function);
+                          std::string_view callback_function);
 
   Config config_;
   telemetry::WorkloadMonitor* workload_ = nullptr;  // not owned; may be null

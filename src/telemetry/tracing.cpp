@@ -35,7 +35,7 @@ uint64_t TraceSpan::CountEvents(const std::string& name) const {
   return n;
 }
 
-std::string Tracer::RenderKey(const Bytes& key) {
+std::string Tracer::RenderKey(ByteSpan key) {
   bool printable = !key.empty();
   for (uint8_t b : key) {
     if (b < 0x20 || b > 0x7e) {
@@ -58,16 +58,16 @@ TraceSpan* Tracer::Find(uint64_t span_id) {
   return &spans_[span_id - 1];
 }
 
-uint64_t Tracer::OldestOpen(const Bytes& key, bool is_scan) const {
+uint64_t Tracer::OldestOpen(ByteSpan key, bool is_scan) const {
   if (is_scan) {
     for (uint64_t id : open_scans_) {
-      if (spans_[id - 1].key == key) return id;
+      if (BytesEqual{}(spans_[id - 1].key, key)) return id;
     }
     return 0;
   }
   auto it = gets_.find(key);
-  if (it == gets_.end() || it->second.open.empty()) return 0;
-  return it->second.open.front();
+  if (it == gets_.end() || !it->second.HasOpen()) return 0;
+  return it->second.Oldest();
 }
 
 uint64_t Tracer::BeginRequest(const Bytes& key, bool is_scan,
@@ -94,12 +94,12 @@ uint64_t Tracer::BeginRequest(const Bytes& key, bool is_scan,
   return span.id;
 }
 
-void Tracer::CompleteRequest(const Bytes& key, uint64_t block, bool found) {
-  KeyState& state = StateFor(key);
-  if (!state.open.empty()) {
-    const uint64_t id = state.open.front();
-    state.open.pop_front();
-    state.last_closed = id;
+void Tracer::CompleteRequest(ByteSpan key, uint64_t block, bool found) {
+  KeyState* state = FindState(key);
+  if (state != nullptr && state->HasOpen()) {
+    const uint64_t id = state->Oldest();
+    state->PopOldest();
+    state->last_closed = id;
     TraceSpan& span = spans_[id - 1];
     // No "callback" event here — this is the per-read hot path, and the
     // exports synthesize the instant from the span fields.
@@ -113,7 +113,8 @@ void Tracer::CompleteRequest(const Bytes& key, uint64_t block, bool found) {
   // key (deliver invokes the callback once per record in the range).
   for (uint64_t id : open_scans_) {
     const TraceSpan& span = spans_[id - 1];
-    if (span.key <= key && (span.end_key.empty() || key < span.end_key)) {
+    if (Compare(span.key, key) <= 0 &&
+        (span.end_key.empty() || Compare(key, span.end_key) < 0)) {
       spans_[id - 1].events.push_back(TraceEvent{
           NextSeq(), block, "scan.record",
           "key=" + RenderKey(key) + (found ? ",found=1" : ",found=0")});
@@ -122,8 +123,8 @@ void Tracer::CompleteRequest(const Bytes& key, uint64_t block, bool found) {
   }
   // A callback for an already-closed span: reorg replays re-execute delivers
   // and re-fire callbacks. Annotate rather than mis-attach.
-  if (state.last_closed != 0) {
-    spans_[state.last_closed - 1].events.push_back(
+  if (state != nullptr && state->last_closed != 0) {
+    spans_[state->last_closed - 1].events.push_back(
         TraceEvent{NextSeq(), block, "callback.dup",
                    found ? "found=1" : "found=0"});
     return;
@@ -145,7 +146,7 @@ void Tracer::CompleteScan(const Bytes& start, const Bytes& end,
   }
 }
 
-void Tracer::AnnotateRequest(const Bytes& key, bool is_scan,
+void Tracer::AnnotateRequest(ByteSpan key, bool is_scan,
                              const std::string& name, uint64_t block,
                              const std::string& detail) {
   uint64_t id = OldestOpen(key, is_scan);
@@ -158,7 +159,7 @@ void Tracer::AnnotateRequest(const Bytes& key, bool is_scan,
   if (!span.closed && block > span.end_block) span.end_block = block;
 }
 
-uint64_t Tracer::OpenRequestId(const Bytes& key, bool is_scan) const {
+uint64_t Tracer::OpenRequestId(ByteSpan key, bool is_scan) const {
   return OldestOpen(key, is_scan);
 }
 

@@ -115,18 +115,18 @@ class Tracer {
   /// Closes the oldest open gGet span for `key` (the callback fired). A
   /// callback with no open span annotates the last closed span for the key
   /// as "callback.dup" (reorg replays re-fire callbacks) — never an error.
-  void CompleteRequest(const Bytes& key, uint64_t block, bool found);
+  void CompleteRequest(ByteSpan key, uint64_t block, bool found);
   /// Closes the oldest open gScan span matching (start, end) — called by the
   /// daemon when the deliver carrying the range proof is included.
   void CompleteScan(const Bytes& start, const Bytes& end, uint64_t block);
   /// Appends an event to the oldest open span for the key (or, if none is
   /// open, to the last closed one): deliver serve/drop/retry, watchdog
   /// re-emits, reorg replays.
-  void AnnotateRequest(const Bytes& key, bool is_scan, const std::string& name,
+  void AnnotateRequest(ByteSpan key, bool is_scan, const std::string& name,
                        uint64_t block, const std::string& detail = "");
   /// Id of the oldest open request span for the key (0 = none) — used to tag
   /// re-emitted transactions so the chain can annotate the right span.
-  uint64_t OpenRequestId(const Bytes& key, bool is_scan) const;
+  uint64_t OpenRequestId(ByteSpan key, bool is_scan) const;
 
   // --- generic spans (deliver batches, DO epochs) ---
 
@@ -177,13 +177,13 @@ class Tracer {
 
   /// Printable rendering of a key: raw ASCII when printable, 0x-hex
   /// otherwise. Deterministic; shared by exports and audit consumers.
-  static std::string RenderKey(const Bytes& key);
+  static std::string RenderKey(ByteSpan key);
 
  private:
   TraceSpan* Find(uint64_t span_id);
   /// Oldest open span id for the key: gets queue per key; scans match the
   /// start key FIFO. Returns 0 when none is open.
-  uint64_t OldestOpen(const Bytes& key, bool is_scan) const;
+  uint64_t OldestOpen(ByteSpan key, bool is_scan) const;
   uint64_t NextSeq() { return seq_++; }
 
   std::vector<TraceSpan> spans_;  // id == index + 1
@@ -195,8 +195,26 @@ class Tracer {
   /// Per-key matching state, fused so the hot path (open at issue, close at
   /// callback) costs one hash lookup per side.
   struct KeyState {
-    std::deque<uint64_t> open;  // open gGet span ids, FIFO
-    uint64_t last_closed = 0;   // last closed get span (0 = none)
+    /// Open gGet span ids, FIFO from `head`. A vector with a read index
+    /// allocates nothing per request once grown (a deque allocates a chunk
+    /// per key, and another every 64 requests on a hot key); it compacts
+    /// when the consumed prefix is half of it.
+    std::vector<uint64_t> open;
+    size_t head = 0;
+    uint64_t last_closed = 0;  // last closed get span (0 = none)
+
+    bool HasOpen() const { return head < open.size(); }
+    uint64_t Oldest() const { return open[head]; }
+    void PopOldest() {
+      head += 1;
+      if (head == open.size()) {
+        open.clear();
+        head = 0;
+      } else if (head * 2 >= open.size()) {
+        open.erase(open.begin(), open.begin() + static_cast<long>(head));
+        head = 0;
+      }
+    }
   };
 
   /// Insert-or-find with a one-entry memo: feed workloads hammer a small hot
@@ -209,6 +227,18 @@ class Tracer {
     memo_key_ = &entry.first;
     memo_state_ = &entry.second;
     return entry.second;
+  }
+  /// Find-only twin of StateFor for a key given as a view (no key copy);
+  /// null when the key never opened a request.
+  KeyState* FindState(ByteSpan key) {
+    if (memo_state_ != nullptr && BytesEqual{}(*memo_key_, key)) {
+      return memo_state_;
+    }
+    auto it = gets_.find(key);
+    if (it == gets_.end()) return nullptr;
+    memo_key_ = &it->first;
+    memo_state_ = &it->second;
+    return &it->second;
   }
 
   /// Hashed: the request-matching map sits on the per-read path.

@@ -30,8 +30,8 @@
 #include <cstdint>
 #include <cstdio>
 #include <functional>
-#include <map>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "common/bytes.h"
@@ -139,7 +139,9 @@ class WorkloadMonitor {
 
   Options options_;
   SpaceSavingSketch sketch_;
-  std::map<Bytes, KeyStats> key_stats_;  // sketch-tracked keys only
+  /// Sketch-tracked keys only. Hashed: one lookup per observed op, and
+  /// nothing iterates it (StatsOf serves the hot-key K estimates).
+  std::unordered_map<Bytes, KeyStats, BytesHash, BytesEqual> key_stats_;
   std::vector<ShardStats> shard_stats_;
   std::vector<BlockRateEstimator> shard_read_rate_;
   std::vector<BlockRateEstimator> shard_write_rate_;

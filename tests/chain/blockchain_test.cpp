@@ -2,6 +2,8 @@
 // time / propagation / finality, and Gas accounting boundaries.
 #include <gtest/gtest.h>
 
+#include <map>
+
 #include "chain/abi.h"
 #include "chain/blockchain.h"
 
@@ -135,6 +137,71 @@ TEST(Blockchain, InternalCallsRecordedInHistory) {
   EXPECT_TRUE(chain.CallHistory()[1].internal);
   EXPECT_EQ(chain.CallHistory()[1].contract, b);
   EXPECT_EQ(chain.CallHistory()[1].caller, a);
+}
+
+// "nest" (depth, fanout, path): calls itself `fanout` times at depth - 1,
+// each child's path extended by its position, and only AFTER the children
+// return records the calldata it was handed. The children grow the call
+// history, so a callee's view of its record's calldata must survive the
+// history reallocating underneath it (ASan flags a dangling view).
+class NestContract : public Contract {
+ public:
+  Status Call(CallContext& ctx, const std::string& function,
+              ByteSpan args) override {
+    if (function != "nest") return Status::NotFound(function);
+    AbiReader r(args);
+    const uint64_t depth = r.U64();
+    const uint64_t fanout = r.U64();
+    const ByteSpan path = r.BlobView();
+    if (depth > 0) {
+      for (uint64_t k = 0; k < fanout; ++k) {
+        Bytes child_path(path.begin(), path.end());
+        child_path.push_back(static_cast<uint8_t>(k));
+        AbiWriter w;
+        w.U64(depth - 1).U64(fanout).Blob(child_path);
+        auto result = ctx.InternalCall(ctx.Self(), "nest", w.Take());
+        if (!result.ok()) return result.status();
+      }
+    }
+    read_.emplace(Bytes(path.begin(), path.end()),
+                  Bytes(args.begin(), args.end()));
+    return Status::Ok();
+  }
+
+  /// Calldata each call read after its children ran, by call path.
+  std::map<Bytes, Bytes> read_;
+};
+
+TEST(Blockchain, NestedCallsReadTheirRecordsCalldataAcrossReallocation) {
+  Blockchain chain;
+  auto nest = std::make_unique<NestContract>();
+  NestContract* contract = nest.get();
+  const Address addr = chain.Deploy(std::move(nest));
+  AbiWriter w;
+  w.U64(3).U64(4).Blob({});
+  const Bytes top = w.Take();
+  const size_t capacity_before = chain.CallHistory().capacity();
+  auto receipt = chain.SubmitAndMine(MakeTx(addr, "nest", top));
+  ASSERT_TRUE(receipt.ok()) << receipt.status.ToString();
+
+  // 1 + 4 + 16 + 64 calls, all inside one transaction: the history grew
+  // (and reallocated) while callers up the stack were still reading.
+  const auto& history = chain.CallHistory();
+  ASSERT_EQ(history.size(), 85u);
+  EXPECT_GT(history.capacity(), capacity_before);
+  ASSERT_EQ(contract->read_.size(), 85u);
+  EXPECT_FALSE(history[0].internal);
+  EXPECT_EQ(history[0].calldata, top);
+  for (const CallRecord& record : history) {
+    AbiReader r(record.calldata);
+    (void)r.U64();
+    (void)r.U64();
+    const Bytes path = r.Blob();
+    auto it = contract->read_.find(path);
+    ASSERT_NE(it, contract->read_.end());
+    EXPECT_EQ(it->second, record.calldata) << "path size " << path.size();
+    EXPECT_TRUE(record.ok);
+  }
 }
 
 TEST(Blockchain, InternalCallSharesGasMeter) {

@@ -2,7 +2,13 @@
 // multi-word blob layout.
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <unordered_map>
+#include <vector>
+
 #include "chain/storage.h"
+#include "common/rng.h"
+#include "crypto/sha256.h"
 
 namespace grub::chain {
 namespace {
@@ -82,6 +88,76 @@ TEST(ContractStorage, ZeroStoresErase) {
   backing.Store(Word::FromU64(1), Word{});
   EXPECT_EQ(backing.SlotCount(), 0u);
   EXPECT_TRUE(backing.Load(Word::FromU64(1)).IsZero());
+}
+
+// The flat table against a node-map reference: seeded Store, zero-Store
+// (erase) and Load over digest keys and over SlotKey(base, w) runs (a
+// digest plus a small offset, the keys that share a first quadword), with a
+// copy taken mid-sequence that must keep matching the reference's copy
+// while the original moves on. Erasing shifts later probe-run members back,
+// so every key ever used is checked after every batch of operations.
+TEST(ContractStorage, MatchesUnorderedMapReference) {
+  Rng rng(2604);
+  std::vector<Word> keys;
+  for (uint64_t i = 0; i < 64; ++i) {
+    const Word base = Sha256::Digest(U64ToBytes(i));
+    keys.push_back(base);
+    for (uint64_t w = 1; w < 12; ++w) {
+      keys.push_back(MeteredStorage::SlotKey(base, w));
+    }
+  }
+  for (uint64_t i = 0; i < 32; ++i) keys.push_back(Word::FromU64(i));
+
+  ContractStorage table;
+  std::unordered_map<Word, Word> reference;
+  const auto check = [&keys](const ContractStorage& t,
+                             const std::unordered_map<Word, Word>& ref,
+                             const char* what, int op) {
+    ASSERT_EQ(t.SlotCount(), ref.size()) << what << " after op " << op;
+    for (const Word& key : keys) {
+      auto it = ref.find(key);
+      const Word want = it == ref.end() ? Word{} : it->second;
+      ASSERT_EQ(t.Load(key), want) << what << " after op " << op;
+    }
+  };
+
+  std::optional<ContractStorage> table_copy;
+  std::unordered_map<Word, Word> reference_copy;
+  constexpr int kOps = 20000;
+  for (int op = 0; op < kOps; ++op) {
+    const Word& key = keys[rng.NextBounded(keys.size())];
+    switch (rng.NextBounded(4)) {
+      case 0: {  // erase by storing zero
+        table.Store(key, Word{});
+        reference.erase(key);
+        break;
+      }
+      case 1: {  // load
+        auto it = reference.find(key);
+        ASSERT_EQ(table.Load(key), it == reference.end() ? Word{} : it->second);
+        break;
+      }
+      default: {  // insert or overwrite a nonzero value
+        const Word value = Word::FromU64(rng.NextBounded(1000) + 1);
+        table.Store(key, value);
+        reference[key] = value;
+        break;
+      }
+    }
+    if (op == kOps / 2) {
+      table_copy = table;
+      reference_copy = reference;
+    }
+    if (op % 500 == 0) check(table, reference, "table", op);
+  }
+  check(table, reference, "table", kOps);
+  ASSERT_TRUE(table_copy.has_value());
+  check(*table_copy, reference_copy, "mid-sequence copy", kOps);
+
+  // Draining every key leaves an empty table that still answers zero.
+  for (const Word& key : keys) table.Store(key, Word{});
+  EXPECT_EQ(table.SlotCount(), 0u);
+  for (const Word& key : keys) EXPECT_TRUE(table.Load(key).IsZero());
 }
 
 }  // namespace

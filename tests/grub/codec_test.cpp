@@ -181,9 +181,99 @@ TEST(Codec, EncodedRecordBytesMatchesBlobEncoding) {
                            ads::ReplState::kR};
     chain::AbiWriter w;
     w.Blob(record.Serialize());
-    EXPECT_EQ(w.Take().size(), EncodedRecordBytes(record))
+    const Bytes blob = w.Take();
+    EXPECT_EQ(blob.size(), EncodedRecordBytes(record))
         << "value_bytes = " << value_bytes;
+    // EncodeRecord serializes in place, byte for byte the same blob.
+    chain::AbiWriter in_place;
+    EncodeRecord(in_place, record);
+    EXPECT_EQ(in_place.Take(), blob) << "value_bytes = " << value_bytes;
   }
+}
+
+// DeliverEntryBytes against the encoder for every entry kind and proof
+// shape: query proofs, absence proofs with 0, 1 and 2 boundary records
+// (with and without the padding tail), scans with and without each
+// neighbour, and digest entries; EncodeDeliver's batch is their sum plus
+// the count word.
+TEST(Codec, DeliverEntryBytesMatchesEncodingForEveryKind) {
+  ads::AdsSp sp;
+  for (uint64_t i = 1; i <= 9; ++i) {
+    (void)sp.ApplyPut(ads::FeedRecord{MakeKey(i * 2), Bytes(i * 7, 0x42),
+                                      ads::ReplState::kNR});
+  }
+  const ads::AdsSp empty;
+  std::vector<DeliverEntry> entries;
+  const auto add = [&entries](DeliverEntry entry, ByteSpan key,
+                              const char* callback) {
+    entry.key.assign(key.begin(), key.end());
+    entry.callback_contract = 77;
+    entry.callback_function = callback;
+    entry.repeats = entries.size() + 1;
+    entry.replicate_hint = entries.size() % 2 == 1;
+    entries.push_back(std::move(entry));
+  };
+
+  for (uint64_t i : {1, 5, 9}) {
+    DeliverEntry entry;
+    entry.kind = DeliverEntry::Kind::kQuery;
+    entry.query = sp.Get(MakeKey(i * 2)).value();
+    add(entry, MakeKey(i * 2), "onData");
+  }
+  // Absences: below the first key (one boundary), between two keys (two),
+  // past the last (one, plus the padding tail) and in an empty store (none).
+  std::vector<size_t> boundary_sizes;
+  for (const Bytes& key : {MakeKey(0), MakeKey(7), MakeKey(99)}) {
+    DeliverEntry entry;
+    entry.kind = DeliverEntry::Kind::kAbsence;
+    entry.absence = sp.ProveAbsent(key).value();
+    boundary_sizes.push_back(entry.absence.boundary.size());
+    add(entry, key, "cb");
+  }
+  {
+    DeliverEntry entry;
+    entry.kind = DeliverEntry::Kind::kAbsence;
+    entry.absence = empty.ProveAbsent(MakeKey(3)).value();
+    boundary_sizes.push_back(entry.absence.boundary.size());
+    add(entry, MakeKey(3), "");
+  }
+  EXPECT_EQ(boundary_sizes, (std::vector<size_t>{1, 2, 1, 0}));
+  // Scans: interior (both neighbours), from the start (right only), to the
+  // end (left only) and the whole store (neither).
+  std::vector<std::pair<bool, bool>> neighbours;
+  for (const auto& [start, end] :
+       std::vector<std::pair<Bytes, Bytes>>{{MakeKey(5), MakeKey(11)},
+                                            {MakeKey(0), MakeKey(9)},
+                                            {MakeKey(7), Bytes{}},
+                                            {MakeKey(0), Bytes{}}}) {
+    DeliverEntry entry;
+    entry.kind = DeliverEntry::Kind::kScan;
+    entry.scan = sp.Scan(start, end).value();
+    entry.end_key = end;
+    neighbours.emplace_back(entry.scan.left_neighbor.has_value(),
+                            entry.scan.right_neighbor.has_value());
+    add(entry, start, "onRange");
+  }
+  EXPECT_EQ(neighbours, (std::vector<std::pair<bool, bool>>{
+                            {true, true}, {false, true}, {true, false},
+                            {false, false}}));
+  for (size_t value_bytes : {size_t{0}, size_t{33}}) {
+    DeliverEntry entry;
+    entry.kind = DeliverEntry::Kind::kDigest;
+    entry.value = Bytes(value_bytes, 0x17);
+    add(entry, MakeKey(4), "onData");
+  }
+
+  uint64_t batch = 8;
+  for (const DeliverEntry& entry : entries) {
+    chain::AbiWriter w;
+    EncodeDeliverEntry(w, entry);
+    EXPECT_EQ(DeliverEntryBytes(entry), w.Take().size())
+        << "kind " << static_cast<int>(entry.kind) << ", key "
+        << ToHex(entry.key);
+    batch += DeliverEntryBytes(entry);
+  }
+  EXPECT_EQ(StorageManagerContract::EncodeDeliver(entries).size(), batch);
 }
 
 struct UpdateParts {

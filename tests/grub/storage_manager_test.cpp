@@ -111,6 +111,117 @@ TEST(StorageManager, DeliverWithValidProofServesCallback) {
   EXPECT_EQ(f.consumer->received()[0].second, Bytes(32, 2));
 }
 
+// SP calldata is attacker input. A deliver whose first entry inflates a
+// length or count field fails in the reader's bounds check (a blob length
+// near 2^64 must not wrap past it, and a sibling count must not size a
+// 2 TiB reserve), and it leaves the pending-request ledger as it was, so
+// the honest answer still lands, once.
+TEST(StorageManager, InflatedDeliverFieldsFailWithTheLedgerUnchanged) {
+  Fixture f;
+  const Bytes key = MakeKey(1);
+  ASSERT_TRUE(f.GGetTx(key).ok());
+  const Word slot = StorageManagerContract::PendingSlot(
+      key, f.consumer_address, ConsumerContract::kOnDataFn);
+  const auto pending = [&f, &slot] {
+    return f.chain.StorageOf(f.manager).Load(slot).ToU64();
+  };
+  ASSERT_EQ(pending(), 1u);
+
+  const DeliverEntry honest = f.EntryFor(key, false);
+  const Bytes calldata = StorageManagerContract::EncodeDeliver({honest});
+  // Offsets of the first entry's fields: count, kind, key blob, then the
+  // query proof (record blob, index, capacity, siblings), then the
+  // callback contract and the callback name blob.
+  const size_t key_len_at = 8 + 8;
+  const size_t record_len_at = key_len_at + 8 + key.size();
+  const size_t siblings_at =
+      record_len_at + 8 + honest.query.record.SerializedBytes() + 8 + 8;
+  const size_t callback_len_at =
+      siblings_at + 8 + 32 * honest.query.path.siblings.size() + 8;
+  struct Inflated {
+    const char* field;
+    size_t offset;
+    uint64_t value;
+  };
+  for (const Inflated& c :
+       {Inflated{"key length", key_len_at, UINT64_MAX - 7},
+        Inflated{"record length", record_len_at, UINT64_MAX - 7},
+        Inflated{"sibling count", siblings_at, uint64_t{1} << 36},
+        Inflated{"callback name length", callback_len_at, UINT64_MAX - 7}}) {
+    Bytes bad = calldata;
+    for (size_t b = 0; b < 8; ++b) {
+      bad[c.offset + b] = static_cast<uint8_t>(c.value >> (8 * b));
+    }
+    chain::Transaction tx;
+    tx.from = kSp;
+    tx.to = f.manager;
+    tx.function = StorageManagerContract::kDeliverFn;
+    tx.calldata = std::move(bad);
+    const auto receipt = f.chain.SubmitAndMine(std::move(tx));
+    EXPECT_FALSE(receipt.ok()) << c.field;
+    EXPECT_NE(receipt.status.message().find("AbiReader"), std::string::npos)
+        << c.field << ": " << receipt.status.ToString();
+    EXPECT_EQ(pending(), 1u) << c.field;
+    EXPECT_EQ(f.consumer->values_received(), 0u) << c.field;
+  }
+
+  ASSERT_TRUE(f.Deliver({honest}).ok());
+  EXPECT_EQ(f.consumer->values_received(), 1u);
+  EXPECT_EQ(pending(), 0u);
+  EXPECT_FALSE(f.Deliver({honest}).ok());  // answered: a replay reverts
+}
+
+// `repeats` sets how many times a verified entry's callbacks run, so it is
+// bounded before anything runs. Point entries: by the requests still
+// pending for the identity, compared so that an inflated count cannot wrap
+// the running claim back to zero (the wrapped entry below carries a bad
+// proof, so only the ledger check can name the rejection).
+TEST(StorageManager, InflatedRepeatsCannotWrapTheLedgerClaim) {
+  Fixture f;
+  const Bytes key = MakeKey(1);
+  ASSERT_TRUE(f.GGetTx(key).ok());
+  ASSERT_TRUE(f.GGetTx(key).ok());
+  DeliverEntry first = f.EntryFor(key, false);
+  first.repeats = 2;
+  DeliverEntry wrapping = f.EntryFor(key, false);
+  wrapping.repeats = UINT64_MAX - 1;  // 2 + (2^64 - 2) wraps to 0
+  wrapping.query.record.value = Bytes(32, 0xEE);
+  const auto receipt = f.Deliver({first, wrapping});
+  ASSERT_FALSE(receipt.ok());
+  EXPECT_NE(receipt.status.message().find("replayed or unsolicited"),
+            std::string::npos)
+      << receipt.status.ToString();
+  // The claims were never written back: both requests are still pending.
+  EXPECT_EQ(f.chain.StorageOf(f.manager)
+                .Load(StorageManagerContract::PendingSlot(
+                    key, f.consumer_address, ConsumerContract::kOnDataFn))
+                .ToU64(),
+            2u);
+}
+
+// Scan entries have no ledger and the daemon never merges them, so each
+// answers exactly one request: an inflated count is rejected before its
+// callbacks would run once per record per repeat.
+TEST(StorageManager, ScanEntryAnswersExactlyOneRequest) {
+  Fixture f;
+  DeliverEntry scan;
+  scan.kind = DeliverEntry::Kind::kScan;
+  scan.key = MakeKey(2);
+  scan.end_key = MakeKey(5);
+  scan.scan = f.sp.Scan(scan.key, scan.end_key).value();
+  scan.callback_contract = f.consumer_address;
+  scan.callback_function = ConsumerContract::kOnDataFn;
+  for (uint64_t repeats : {0, 2, 1000}) {
+    scan.repeats = repeats;
+    const auto receipt = f.Deliver({scan});
+    EXPECT_FALSE(receipt.ok()) << repeats;
+    EXPECT_EQ(f.consumer->values_received(), 0u) << repeats;
+  }
+  scan.repeats = 1;
+  ASSERT_TRUE(f.Deliver({scan}).ok());
+  EXPECT_EQ(f.consumer->values_received(), 3u);  // keys 2, 3 and 4
+}
+
 TEST(StorageManager, DeliverWithForgedValueReverts) {
   Fixture f;
   f.GGetTx(MakeKey(1));

@@ -370,6 +370,49 @@ TEST(TelemetryRobustness, DisabledRegistryGathersZeros) {
   EXPECT_EQ(totals.sp_failovers, 0u);
 }
 
+// --- request matching ---
+
+// Requests on one key queue FIFO: a callback closes the oldest open span,
+// and OpenRequestId names it. Keys arrive as views of calldata, so lookups
+// take a span. The queue keeps its order while it grows and drains far
+// past its first allocation; a callback after the last close annotates
+// that span, and one for a key never requested counts as unmatched.
+TEST(TracerMatching, RequestsOnOneKeyCloseOldestFirst) {
+  telemetry::Tracer tracer;
+  const Bytes key = MakeKey(7);
+  const Bytes calldata = Concat({ToBytes("xx"), key});  // key read in place
+  const ByteSpan view = ByteSpan(calldata).subspan(2);
+  std::vector<uint64_t> opened;
+  size_t closed = 0;
+  for (int round = 0; round < 300; ++round) {
+    opened.push_back(tracer.BeginRequest(key, false, Bytes{}, round));
+    opened.push_back(tracer.BeginRequest(key, false, Bytes{}, round));
+    ASSERT_EQ(tracer.OpenRequestId(view, false), opened[closed]);
+    tracer.CompleteRequest(view, round, /*found=*/true);
+    closed += 1;
+  }
+  while (closed < opened.size()) {
+    ASSERT_EQ(tracer.OpenRequestId(view, false), opened[closed]);
+    tracer.CompleteRequest(view, 400, /*found=*/closed % 2 == 0);
+    closed += 1;
+  }
+  EXPECT_EQ(tracer.OpenRequestId(view, false), 0u);
+  for (size_t i = 0; i < opened.size(); ++i) {
+    const TraceSpan& span = tracer.Spans()[opened[i] - 1];
+    ASSERT_TRUE(span.completed) << i;
+    // The first 300 closed in their issue round, one per round.
+    EXPECT_EQ(span.end_block, i < 300 ? i : 400u) << i;
+  }
+
+  tracer.CompleteRequest(view, 401, /*found=*/true);
+  tracer.AnnotateRequest(view, false, "deliver.serve", 401);
+  const TraceSpan& last = tracer.Spans()[opened.back() - 1];
+  EXPECT_TRUE(last.HasEvent("callback.dup"));
+  EXPECT_TRUE(last.HasEvent("deliver.serve"));
+  tracer.CompleteRequest(MakeKey(8), 401, /*found=*/true);
+  EXPECT_EQ(tracer.unmatched_callbacks(), 1u);
+}
+
 // --- analyzer arithmetic ---
 
 TEST(TraceAnalyze, PercentileNearestRank) {

@@ -57,7 +57,7 @@ struct Args {
   bool range_scans = false;
   bool converged = false;  // warm-up pass before measuring
   bool telemetry = false;
-  bool gas_breakdown = false;   // implies telemetry
+  bool gas_breakdown = false;
   std::string metrics_out;      // implies telemetry; .csv = CSV, else JSONL
   std::string trace_out;        // implies tracing; .json = Chrome, else JSONL
   bool trace_summary = false;   // implies tracing
@@ -120,9 +120,9 @@ void PrintUsage() {
       "  --epoch-txs N   transactions per epoch            (default 1)\n"
       "  --range-scans   serve scans with range proofs\n"
       "  --converged     measure a second pass after a warm-up pass\n"
-      "  --telemetry     attach the telemetry subsystem (Gas attribution)\n"
-      "  --gas-breakdown print the component x cause Gas matrix (implies\n"
-      "                  --telemetry)\n"
+      "  --telemetry     attach the telemetry subsystem (per-epoch Gas\n"
+      "                  series)\n"
+      "  --gas-breakdown print the chain's component x cause Gas matrix\n"
       "  --metrics-out F write the per-epoch attribution series to F —\n"
       "                  CSV if F ends in .csv, JSON-lines otherwise\n"
       "                  (implies --telemetry)\n"
@@ -169,12 +169,12 @@ void PrintUsage() {
       "                  the stream byte-for-byte. Incompatible with --json\n"
       "                  and --feeds\n"
       "  --profile       enable the hot-path profiling probes (Merkle\n"
-      "                  rebuild and update, sha256, codec, kvstore) and\n"
+      "                  rebuild and update, sha256, codec) and\n"
       "                  append the count/total/max ns table to the text\n"
       "                  report — wall-clock, so never part of --json or\n"
       "                  --watch output\n"
       "  --json          print one machine-readable JSON summary on stdout\n"
-      "                  instead of the text report (implies --telemetry):\n"
+      "                  instead of the text report:\n"
       "                  gas totals, component x cause breakdown, per-epoch\n"
       "                  series, activity and robustness counters, and the\n"
       "                  pinned workload.observatory section\n");
@@ -482,8 +482,9 @@ core::SystemOptions MakeSystemOptions(const Args& args,
   options.txs_per_epoch = args.txs_per_epoch;
   options.scan_mode = args.range_scans ? core::ScanMode::kRangeProof
                                        : core::ScanMode::kExpandPointReads;
-  options.enable_telemetry = args.telemetry || args.gas_breakdown ||
-                             !args.metrics_out.empty() || args.json;
+  // Only --metrics-out reads the telemetry bundle (its epoch series); the
+  // Gas matrix that --gas-breakdown and --json print is the chain's.
+  options.enable_telemetry = args.telemetry || !args.metrics_out.empty();
   options.enable_tracing = !args.trace_out.empty() || args.trace_summary;
   options.fault_schedule = args.faults;
   options.fault_seed = args.fault_seed;
