@@ -139,10 +139,10 @@ void BM_AdsSpGetProof(benchmark::State& state) {
 }
 BENCHMARK(BM_AdsSpGetProof);
 
-// The DO's per-read policy step (DoClient::NoteRead): tier before, observe
-// the read, tier after, over a warmed table of `n` keys visited in a
-// shuffled order, so each step is a lookup of a key the last one did not
-// touch.
+// The DO's per-read policy step (DoClient::NoteRead): one Observe, which
+// returns the key's tier before and after, over a warmed table of `n` keys
+// visited in a shuffled order, so each step is a lookup of a key the last
+// one did not touch.
 void BM_PolicyObserve(benchmark::State& state) {
   const uint64_t n = static_cast<uint64_t>(state.range(0));
   core::MemorylessPolicy policy(2);
@@ -158,10 +158,7 @@ void BM_PolicyObserve(benchmark::State& state) {
   }
   size_t i = 0;
   for (auto _ : state) {
-    const workload::Operation& op = reads[i];
-    benchmark::DoNotOptimize(policy.TierOf(op.key));
-    policy.Observe(op);
-    benchmark::DoNotOptimize(policy.TierOf(op.key));
+    benchmark::DoNotOptimize(policy.Observe(reads[i]));
     if (++i == reads.size()) i = 0;
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));

@@ -160,4 +160,26 @@ if ! ./build/bench/grub-bench --compare bench/baselines/BENCH_quick_pretier.json
   exit 1
 fi
 
+# Benchmark smoke: a Release build of perfbench in this script's temporary
+# directory, then one second of every BENCHMARK.json workload and one traced
+# ycsb-b run. A run exits 0 only when the benchmark's reference oracle, its
+# self-check and its replay agreement all pass, so a change whose outputs
+# turn incorrect fails here before any timing is compared.
+echo "=== perfbench smoke: every workload for 1 s, plus a traced ycsb-b ==="
+run_perfbench() {
+  local log="${WORK}/perfbench_$1_trace$2.log"
+  if ! CARGO_TARGET_DIR="${WORK}/bench_target" python3 perfbench/run.py \
+      --workload "$1" --seed 1 --seconds 1 --trace "$2" > "${log}" 2>&1; then
+    tail -n 20 "${log}"
+    echo "perfbench smoke FAILED: --workload $1 --trace $2"
+    exit 1
+  fi
+  echo "$1 --trace $2: $(tail -n 1 "${log}" | cut -c1-120)..."
+}
+for workload in $(python3 -c 'import json
+print(" ".join(w["name"] for w in json.load(open("BENCHMARK.json"))["workloads"]))'); do
+  run_perfbench "${workload}" 0
+done
+run_perfbench ycsb-b 1
+
 echo "=== all passes green ==="

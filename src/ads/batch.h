@@ -5,18 +5,37 @@
 // overwrites rehash their paths, and only an insert rewrites the leaves
 // after it. Unchanged elements keep the leaf hash the tree already stores,
 // so they are never re-serialized or re-hashed.
+//
+// Each array has a key -> position index (a KeyMap<uint32_t>) that the merge
+// keeps exact: an overwrite is found by one index probe, and an insert or
+// erase re-indexes the tail it rewrites, the same O(tail) as the tail's
+// leaf rehash. A binary search runs once per batch, to place the first
+// insert.
 #pragma once
 
 #include <algorithm>
+#include <cstdint>
 #include <iterator>
 #include <span>
 #include <utility>
 #include <vector>
 
 #include "ads/record.h"
+#include "common/key_map.h"
 #include "crypto/merkle.h"
 
 namespace grub::ads {
+
+/// Points `index` at the positions of sorted[from..]: the tail an insert or
+/// erase rewrote. Reserves first, so a bulk load grows the index once.
+template <typename T, typename KeyOf>
+void IndexTail(const std::vector<T>& sorted, KeyMap<uint32_t>& index,
+               size_t from, KeyOf key_of) {
+  index.reserve(sorted.size());
+  for (size_t i = from; i < sorted.size(); ++i) {
+    index[key_of(sorted[i])] = static_cast<uint32_t>(i);
+  }
+}
 
 /// The batch's last write per key (arrival order decides), in key order.
 inline std::vector<const FeedRecord*> LastWritePerKey(
@@ -41,35 +60,37 @@ inline std::vector<const FeedRecord*> LastWritePerKey(
 }
 
 /// Merges `batch` (LastWritePerKey output) into `sorted`, whose elements
-/// parallel `tree`'s leaves. `key_of(element)` reads an element's key and
-/// `make(record)` builds the element stored for a batch record. Overwrites
-/// before the first insert are leaf writes; from the first insert on, the
-/// array and its leaves are rewritten.
+/// parallel `tree`'s leaves and are indexed by `index`. `key_of(element)`
+/// reads an element's key and `make(record)` builds the element stored for
+/// a batch record. Overwrites before the first insert are leaf writes; from
+/// the first insert on, the array and its leaves are rewritten.
 template <typename T, typename KeyOf, typename Make>
-void MergeBatch(std::vector<T>& sorted, MerkleTree& tree,
-                std::span<const FeedRecord* const> batch, KeyOf key_of,
-                Make make) {
-  const auto less = [&](const T& element, const Bytes& key) {
-    return Compare(key_of(element), key) < 0;
-  };
+void MergeBatch(std::vector<T>& sorted, KeyMap<uint32_t>& index,
+                MerkleTree& tree, std::span<const FeedRecord* const> batch,
+                KeyOf key_of, Make make) {
   std::vector<std::pair<size_t, Hash256>> writes;
-  auto pos = sorted.begin();
   size_t b = 0;
   for (; b < batch.size(); ++b) {
-    pos = std::lower_bound(pos, sorted.end(), batch[b]->key, less);
-    if (pos == sorted.end() || Compare(key_of(*pos), batch[b]->key) != 0) {
-      break;  // the first insert
-    }
-    *pos = make(*batch[b]);
-    writes.emplace_back(static_cast<size_t>(pos - sorted.begin()),
-                        batch[b]->LeafHash());
+    const uint32_t* at = index.Find(batch[b]->key);
+    if (at == nullptr) break;  // the first insert
+    sorted[*at] = make(*batch[b]);
+    writes.emplace_back(*at, batch[b]->LeafHash());
   }
   if (b == batch.size()) {
     tree.Update(writes, sorted.size(), {});
     return;
   }
 
-  const size_t from = static_cast<size_t>(pos - sorted.begin());
+  // The batch is key-sorted, so the first insert lands after every
+  // overwrite before it.
+  const size_t lo = writes.empty() ? 0 : writes.back().first + 1;
+  const size_t from = static_cast<size_t>(
+      std::lower_bound(sorted.begin() + static_cast<long>(lo), sorted.end(),
+                       batch[b]->key,
+                       [&](const T& element, const Bytes& key) {
+                         return Compare(key_of(element), key) < 0;
+                       }) -
+      sorted.begin());
   const std::span<const Hash256> leaves = tree.Leaves();
   const size_t tail_size = sorted.size() - from + batch.size() - b;
   std::vector<T> merged;
@@ -95,18 +116,22 @@ void MergeBatch(std::vector<T>& sorted, MerkleTree& tree,
   }
   sorted.erase(sorted.begin() + static_cast<long>(from), sorted.end());
   std::move(merged.begin(), merged.end(), std::back_inserter(sorted));
+  IndexTail(sorted, index, from, key_of);
   tree.Update(writes, from, tail);
 }
 
-/// Removes element `index` of `sorted` and its leaf: a tail rewrite from
-/// `index`.
-template <typename T>
-void EraseAt(std::vector<T>& sorted, MerkleTree& tree, size_t index) {
+/// Removes element `pos` of `sorted`, its index entry and its leaf: a tail
+/// rewrite from `pos`.
+template <typename T, typename KeyOf>
+void EraseAt(std::vector<T>& sorted, KeyMap<uint32_t>& index, MerkleTree& tree,
+             size_t pos, KeyOf key_of) {
   const std::span<const Hash256> leaves = tree.Leaves();
-  const std::vector<Hash256> tail(leaves.begin() + static_cast<long>(index) + 1,
+  const std::vector<Hash256> tail(leaves.begin() + static_cast<long>(pos) + 1,
                                   leaves.end());
-  sorted.erase(sorted.begin() + static_cast<long>(index));
-  tree.Update({}, index, tail);
+  index.Erase(key_of(sorted[pos]));
+  sorted.erase(sorted.begin() + static_cast<long>(pos));
+  IndexTail(sorted, index, pos, key_of);
+  tree.Update({}, pos, tail);
 }
 
 }  // namespace grub::ads

@@ -1,24 +1,19 @@
 #include "ads/do.h"
 
-#include <algorithm>
-
 #include "ads/batch.h"
 #include "ads/verify.h"
 
 namespace grub::ads {
 
-size_t AdsDo::LowerBound(ByteSpan key) const {
-  auto it = std::lower_bound(
-      keys_.begin(), keys_.end(), key,
-      [](const Bytes& a, ByteSpan b) { return Compare(a, b) < 0; });
-  return static_cast<size_t>(it - keys_.begin());
-}
+namespace {
+
+const Bytes& KeyOf(const Bytes& key) { return key; }
+
+}  // namespace
 
 void AdsDo::ApplyBatchLocal(const std::vector<FeedRecord>& records) {
-  MergeBatch(
-      keys_, mirror_, LastWritePerKey(records),
-      [](const Bytes& key) -> const Bytes& { return key; },
-      [](const FeedRecord& record) { return record.key; });
+  MergeBatch(keys_, index_, mirror_, LastWritePerKey(records), KeyOf,
+             [](const FeedRecord& record) { return record.key; });
 }
 
 Status AdsDo::VerifiedBatchPut(AdsSp& sp,
@@ -43,16 +38,15 @@ void AdsDo::BulkLoad(AdsSp& sp, const std::vector<FeedRecord>& records) {
 }
 
 Status AdsDo::VerifiedDelete(AdsSp& sp, ByteSpan key) {
-  const size_t pos = LowerBound(key);
-  if (pos >= keys_.size() || Compare(keys_[pos], key) != 0) {
-    return Status::NotFound("VerifiedDelete: unknown key");
-  }
+  const uint32_t* at = index_.Find(key);
+  if (at == nullptr) return Status::NotFound("VerifiedDelete: unknown key");
+  const size_t pos = *at;
   auto proof = sp.Get(key);
   if (!proof.ok() || proof->index != pos || !VerifyQuery(Root(), *proof)) {
     return Status::IntegrityViolation("SP proof failed before delete");
   }
 
-  EraseAt(keys_, mirror_, pos);
+  EraseAt(keys_, index_, mirror_, pos, KeyOf);
   Status s = sp.ApplyDelete(key);
   if (!s.ok()) return s;
   if (sp.Root() != Root()) {

@@ -6,7 +6,9 @@
 // to its mirror, has the SP apply the same batch, and checks the roots agree
 // again. Both sides absorb a batch with one incremental MerkleTree::Update
 // (ads/batch.h), so a batch of k writes to an n-record tree costs
-// O(k log n) hashes, plus O(n - i) when it inserts at index i.
+// O(k log n) hashes, plus O(n - i) when it inserts at index i. A key ->
+// leaf-index KeyMap beside the sorted keys finds an overwritten or deleted
+// key in one probe.
 //
 // The DO also signs each epoch's root (sequence = epoch number) so stale or
 // forked roots replayed by the SP are rejected downstream.
@@ -14,6 +16,7 @@
 
 #include "ads/record.h"
 #include "ads/sp.h"
+#include "common/key_map.h"
 #include "common/status.h"
 #include "crypto/merkle.h"
 #include "crypto/signer.h"
@@ -51,12 +54,12 @@ class AdsDo {
   const Bytes& VerificationKey() const { return signer_.VerificationKey(); }
 
  private:
-  size_t LowerBound(ByteSpan key) const;
   void ApplyBatchLocal(const std::vector<FeedRecord>& records);
 
   MacSigner signer_;
   MerkleTree mirror_;        // leaf hashes only
   std::vector<Bytes> keys_;  // sorted keys, parallel to mirror leaves
+  KeyMap<uint32_t> index_;   // key -> index into keys_
 };
 
 }  // namespace grub::ads

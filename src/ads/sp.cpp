@@ -6,6 +6,12 @@
 
 namespace grub::ads {
 
+namespace {
+
+const Bytes& KeyOfRecord(const FeedRecord& r) { return r.key; }
+
+}  // namespace
+
 AdsSp::AdsSp(const std::string& db_path) {
   if (db_path.empty()) return;  // no backing store: nothing to recover
   auto db = kv::KVStore::Open(kv::Options{}, db_path);
@@ -27,6 +33,7 @@ AdsSp::AdsSp(const std::string& db_path) {
     records_.push_back(std::move(record).value());
   }
   if (records_.empty()) return;
+  IndexTail(records_, index_, 0, KeyOfRecord);
   std::vector<Hash256> leaves;
   leaves.reserve(records_.size());
   for (const auto& r : records_) leaves.push_back(r.LeafHash());
@@ -47,29 +54,25 @@ void AdsSp::PersistRecord(const FeedRecord& record) {
 
 Result<Hash256> AdsSp::ApplyPutBatch(std::span<const FeedRecord> records) {
   if (records.empty()) return tree_.Root();
-  MergeBatch(
-      records_, tree_, LastWritePerKey(records),
-      [](const FeedRecord& r) -> const Bytes& { return r.key; },
-      [](const FeedRecord& r) { return r; });
+  MergeBatch(records_, index_, tree_, LastWritePerKey(records), KeyOfRecord,
+             [](const FeedRecord& r) { return r; });
   for (const auto& r : records) PersistRecord(r);
   return tree_.Root();
 }
 
 Status AdsSp::ApplyDelete(ByteSpan key) {
-  const size_t pos = LowerBound(key);
-  if (pos >= records_.size() || Compare(records_[pos].key, key) != 0) {
+  const size_t pos = IndexOf(key);
+  if (pos == records_.size()) {
     return Status::NotFound("ApplyDelete: no such key");
   }
-  EraseAt(records_, tree_, pos);
+  EraseAt(records_, index_, tree_, pos, KeyOfRecord);
   if (db_ != nullptr) (void)db_->Delete(key);
   return Status::Ok();
 }
 
 Result<QueryProof> AdsSp::Get(ByteSpan key) const {
-  const size_t pos = LowerBound(key);
-  if (pos >= records_.size() || Compare(records_[pos].key, key) != 0) {
-    return Status::NotFound("Get: no such key");
-  }
+  const size_t pos = IndexOf(key);
+  if (pos == records_.size()) return Status::NotFound("Get: no such key");
   return GetByIndex(pos);
 }
 
@@ -157,41 +160,32 @@ Result<ScanProof> AdsSp::Scan(ByteSpan start, ByteSpan end) const {
 }
 
 Result<FeedRecord> AdsSp::Peek(ByteSpan key) const {
-  const size_t pos = LowerBound(key);
-  if (pos >= records_.size() || Compare(records_[pos].key, key) != 0) {
-    return Status::NotFound("Peek: no such key");
-  }
+  const size_t pos = IndexOf(key);
+  if (pos == records_.size()) return Status::NotFound("Peek: no such key");
   return records_[pos];
 }
 
 void AdsSp::SetAdvisoryTier(ByteSpan key, tier::StorageTier t) {
-  if (auto it = advisory_.find(key); it != advisory_.end()) {
-    it->second = t;
-  } else {
-    advisory_.emplace(Bytes(key.begin(), key.end()), t);
-  }
+  advisory_[key] = t;
 }
 
 tier::StorageTier AdsSp::EffectiveTier(ByteSpan key) const {
-  auto it = advisory_.find(key);
-  if (it != advisory_.end()) return it->second;
-  const size_t pos = LowerBound(key);
-  if (pos < records_.size() && Compare(records_[pos].key, key) == 0) {
-    return tier::FromReplState(records_[pos].state);
-  }
-  return tier::StorageTier::kOffchain;
+  if (const tier::StorageTier* t = advisory_.Find(key)) return *t;
+  const size_t pos = IndexOf(key);
+  if (pos == records_.size()) return tier::StorageTier::kOffchain;
+  return tier::FromReplState(records_[pos].state);
 }
 
 void AdsSp::TamperValueForTesting(ByteSpan key, ByteSpan forged_value) {
-  const size_t pos = LowerBound(key);
-  if (pos >= records_.size() || Compare(records_[pos].key, key) != 0) return;
+  const size_t pos = IndexOf(key);
+  if (pos == records_.size()) return;
   records_[pos].value.assign(forged_value.begin(), forged_value.end());
   // Tree deliberately NOT updated: the forged record will fail audit paths.
 }
 
 void AdsSp::ForkForTesting(ByteSpan key, ByteSpan forged_value) {
-  const size_t pos = LowerBound(key);
-  if (pos >= records_.size() || Compare(records_[pos].key, key) != 0) return;
+  const size_t pos = IndexOf(key);
+  if (pos == records_.size()) return;
   records_[pos].value.assign(forged_value.begin(), forged_value.end());
   tree_.SetLeaf(pos, records_[pos].LeafHash());  // consistent forged tree
 }

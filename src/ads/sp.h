@@ -10,17 +10,22 @@
 // MerkleTree::Update (ads/batch.h): records the batch does not touch are
 // never re-serialized or re-hashed.
 //
+// Exact-match lookups (Get, Peek, EffectiveTier, ApplyDelete, the *ForTesting
+// mutators) are one probe into a key -> leaf-index KeyMap kept beside the
+// array; the binary search remains only for absence proofs and scans, which
+// need the neighbours of a key.
+//
 // The SP is the adversary in the trust model; *ForTesting mutators simulate
 // forge/omit/fork attacks so tests can confirm verification catches them.
 #pragma once
 
 #include <memory>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "ads/proofs.h"
 #include "ads/record.h"
+#include "common/key_map.h"
 #include "common/status.h"
 #include "crypto/merkle.h"
 #include "fault/injector.h"
@@ -108,15 +113,22 @@ class AdsSp {
   void OmitForTesting(ByteSpan key);
 
  private:
+  /// First record with key >= `key` (absence proofs and scans only).
   size_t LowerBound(ByteSpan key) const;
+  /// Leaf index of the key's record (one index probe), or RecordCount()
+  /// when the key is absent.
+  size_t IndexOf(ByteSpan key) const {
+    const uint32_t* at = index_.Find(key);
+    return at == nullptr ? records_.size() : *at;
+  }
   void PersistRecord(const FeedRecord& record);
 
   std::vector<FeedRecord> records_;  // key-sorted, indices = leaf indices
+  KeyMap<uint32_t> index_;           // key -> index into records_
   MerkleTree tree_;
   std::unique_ptr<kv::KVStore> db_;  // null = no db path, nothing persisted
-  /// Hashed: consulted once per DO-observed read and per served request.
-  std::unordered_map<Bytes, tier::StorageTier, BytesHash, BytesEqual>
-      advisory_;
+  /// Consulted once per DO-observed read and per served request.
+  KeyMap<tier::StorageTier> advisory_;
 };
 
 }  // namespace grub::ads

@@ -3,7 +3,8 @@
 // A `Bytes` buffer is the universal currency for keys, values, calldata and
 // proofs. Helpers here cover hex round-trips, integer (de)serialization in
 // big-endian order (matching Ethereum ABI conventions), and word arithmetic
-// (Ethereum charges Gas per 32-byte word).
+// (Ethereum charges Gas per 32-byte word). Hashed per-key tables keyed by
+// bytes are KeyMap / KeySet (common/key_map.h).
 #pragma once
 
 #include <array>
@@ -64,22 +65,5 @@ inline std::string_view AsChars(ByteSpan data) {
 inline ByteSpan BytesOf(std::string_view s) {
   return {reinterpret_cast<const uint8_t*>(s.data()), s.size()};
 }
-
-/// Transparent hash and equality for hashed containers keyed by `Bytes`:
-/// `find` and `count` accept any byte span, so a lookup never builds a key.
-/// Iteration order of such a container is unspecified; it must never reach
-/// Gas, calldata, events, reports or exports.
-struct BytesHash {
-  using is_transparent = void;
-  size_t operator()(ByteSpan key) const {
-    return std::hash<std::string_view>{}(AsChars(key));
-  }
-};
-struct BytesEqual {
-  using is_transparent = void;
-  bool operator()(ByteSpan a, ByteSpan b) const {
-    return AsChars(a) == AsChars(b);
-  }
-};
 
 }  // namespace grub

@@ -19,11 +19,6 @@ DoClient::DoClient(chain::Blockchain& chain, shard::ShardedAdsSp& sp,
   per_shard_update_gas_.assign(sp_.ShardCount(), 0);
 }
 
-void DoClient::NoteFlip(ads::ReplState before, ads::ReplState after) {
-  if (before == after || workload_ == nullptr) return;
-  workload_->OnFlip(after == ads::ReplState::kR);
-}
-
 void DoClient::EnsureEpochSpan() {
   if (tracer_ == nullptr || epoch_span_ != 0) return;
   epoch_span_ = tracer_->BeginSpan(telemetry::SpanKind::kEpoch,
@@ -43,29 +38,43 @@ void DoClient::RecordFlipAudit(const Bytes& key, ads::ReplState before,
                       chain_.CurrentBlockNumber(), epoch_);
 }
 
-void DoClient::BufferPut(Bytes key, Bytes value) {
-  // The monitor observes local writes as they arrive (§3.2); the decision
-  // propagates to the SP as an advisory tier immediately (Gas-free), while
-  // the authenticated state bit syncs with the next update() transaction.
-  // Binary policies round-trip through the tier view losslessly
-  // (R ≡ storage, NR ≡ off-chain), so one TierOf pair covers both worlds.
-  const tier::StorageTier t_before = policy_->TierOf(key);
-  policy_->Observe(workload::Operation::Write(key, {}));
-  const tier::StorageTier t_after = policy_->TierOf(key);
-  if (t_before != t_after) tier_flips_ += 1;
-  const ads::ReplState before = tier::ToReplState(t_before);
-  const ads::ReplState after = tier::ToReplState(t_after);
-  NoteFlip(before, after);
+void DoClient::ObserveOp(workload::OpType type, ByteSpan key,
+                         const char* audit_op) {
+  // The decision propagates to the SP as an advisory tier immediately
+  // (Gas-free), while the authenticated state bit syncs with the next
+  // update() transaction. Binary policies round-trip through the tier view
+  // losslessly (R ≡ storage, NR ≡ off-chain), so one step covers both.
+  observed_.type = type;
+  observed_.key.assign(key.begin(), key.end());
+  const TierStep step = policy_->Observe(observed_);
+  if (step.Flipped()) tier_flips_ += 1;
+  const ads::ReplState before = tier::ToReplState(step.before);
+  const ads::ReplState after = tier::ToReplState(step.after);
   if (workload_ != nullptr) {
-    workload_->OnWrite(key, chain_.CurrentBlockNumber());
+    if (before != after) workload_->OnFlip(after == ads::ReplState::kR);
+    const uint64_t block = chain_.CurrentBlockNumber();
+    if (type == workload::OpType::kWrite) {
+      workload_->OnWrite(observed_.key, block);
+    } else {
+      workload_->OnRead(observed_.key, block);
+    }
   }
-  RecordFlipAudit(key, before, after, "write");
+  RecordFlipAudit(observed_.key, before, after, audit_op);
+  sp_.SetAdvisoryTier(key, step.after);
+  Touch(key);
+}
+
+void DoClient::Touch(ByteSpan key) {
+  if (touched_.Insert(key)) touched_keys_.emplace_back(key.begin(), key.end());
+}
+
+void DoClient::BufferPut(Bytes key, Bytes value) {
+  // The monitor observes local writes as they arrive (§3.2).
+  ObserveOp(workload::OpType::kWrite, key, "write");
   // Opening the span is all a buffered put records: the span's begin block IS
   // the first put, and EndEpoch summarizes the batch ("puts" attr). A
   // per-write event here would put an allocation on the feed's write path.
   if (tracer_ != nullptr) EnsureEpochSpan();
-  sp_.SetAdvisoryTier(key, t_after);
-  touched_.insert(key);
   pending_writes_.push_back(BufferedWrite{std::move(key), std::move(value)});
 }
 
@@ -73,19 +82,7 @@ void DoClient::NoteRead(const Bytes& key) {
   // Reads are federated from the chain's call history; NoteRead models the
   // continuous, timestamp-merged view of that monitor (the history remains
   // the integrity source — see MonitorChainHistory).
-  const tier::StorageTier t_before = policy_->TierOf(key);
-  policy_->Observe(workload::Operation::Read(key));
-  const tier::StorageTier t_after = policy_->TierOf(key);
-  if (t_before != t_after) tier_flips_ += 1;
-  const ads::ReplState before = tier::ToReplState(t_before);
-  const ads::ReplState after = tier::ToReplState(t_after);
-  NoteFlip(before, after);
-  if (workload_ != nullptr) {
-    workload_->OnRead(key, chain_.CurrentBlockNumber());
-  }
-  RecordFlipAudit(key, before, after, "read");
-  sp_.SetAdvisoryTier(key, t_after);
-  touched_.insert(key);
+  ObserveOp(workload::OpType::kRead, key, "read");
 }
 
 void DoClient::Preload(const std::vector<std::pair<Bytes, Bytes>>& records) {
@@ -103,7 +100,7 @@ void DoClient::Preload(const std::vector<std::pair<Bytes, Bytes>>& records) {
     // the paper's BL2 where the dataset is on chain before the experiment.
     const bool live = state == ads::ReplState::kR;
     StorageManagerContract::PreloadReplica(genesis, key, value, live);
-    if (live) replicas_on_chain_.insert(key);
+    if (live) replicas_on_chain_.Insert(key);
   }
   // Bulk-load the forest: one O(n) tree build per shard. Every tree equals
   // a from-scratch build over its sorted leaves (same bit_ceil capacity), so
@@ -151,7 +148,7 @@ void DoClient::MonitorChainHistory() {
       auto entry = DecodeDeliverEntry(r);
       if (!entry.ok()) break;
       if (entry->present() && entry->replicate_hint) {
-        replicas_on_chain_.insert(entry->query.record.key);
+        replicas_on_chain_.Insert(entry->query.record.key);
       }
     }
   }
@@ -172,8 +169,10 @@ chain::Receipt DoClient::EndEpoch() {
   // observed continuously).
   MonitorChainHistory();
 
-  std::set<Bytes> touched = std::move(touched_);
+  std::vector<Bytes> touched = std::move(touched_keys_);
+  touched_keys_.clear();
   touched_.clear();
+  std::sort(touched.begin(), touched.end());
 
   // 2. Actuate on the ADS: apply writes carrying their decided state (the
   // authenticated state bit syncs here), one verified batch per touched
@@ -216,13 +215,13 @@ chain::Receipt DoClient::EndEpoch() {
       case tier::StorageTier::kStorage:
         replicated_updates.push_back(
             ads::FeedRecord{write.key, write.value, ads::ReplState::kR});
-        replicas_on_chain_.insert(write.key);
+        replicas_on_chain_.Insert(write.key);
         break;
       case tier::StorageTier::kLog:
         tiered.entries.push_back(TierEntry{
             tier::StorageTier::kLog,
             ads::FeedRecord{write.key, write.value, ads::ReplState::kNR}});
-        log_pins_on_chain_.insert(write.key);
+        log_pins_on_chain_.Insert(write.key);
         log_pins_ += 1;
         break;
       case tier::StorageTier::kCalldata:
@@ -237,20 +236,20 @@ chain::Receipt DoClient::EndEpoch() {
   // Keys whose pin is live but whose placement left the log tier: drop the
   // pin (and tell replaying SPs) with this epoch's update.
   for (const auto& key : touched) {
-    if (!log_pins_on_chain_.count(key)) continue;
+    if (!log_pins_on_chain_.Contains(key)) continue;
     if (policy_->TierOf(key) == tier::StorageTier::kLog) continue;
     tiered.unpins.push_back(key);
-    log_pins_on_chain_.erase(key);
+    log_pins_on_chain_.Erase(key);
     log_unpins_ += 1;
   }
   for (const auto& key : touched) {
-    if (!replicas_on_chain_.count(key)) continue;
+    if (!replicas_on_chain_.Contains(key)) continue;
     // Degradation pins its forced replicas: reads must keep being served
     // from chain while the SP is out, whatever the policy thinks.
-    if (degraded_ && forced_replicas_.count(key)) continue;
+    if (degraded_ && forced_replicas_.Contains(key)) continue;
     if (policy_->StateOf(key) == ads::ReplState::kNR) {
       evictions.push_back(key);
-      replicas_on_chain_.erase(key);
+      replicas_on_chain_.Erase(key);
     }
   }
   const size_t puts_this_epoch = pending_writes_.size();
@@ -542,11 +541,10 @@ void DoClient::Degrade(const std::vector<PendingRequest>& stale) {
   std::vector<ads::FeedRecord> forced;
   for (const auto& req : stale) {
     if (req.is_scan) continue;
-    if (replicas_on_chain_.count(req.key)) continue;
-    const auto cached = value_cache_.find(req.key);
-    if (cached == value_cache_.end()) continue;  // absent: nothing to pin
-    forced.push_back(
-        ads::FeedRecord{req.key, cached->second, ads::ReplState::kR});
+    if (replicas_on_chain_.Contains(req.key)) continue;
+    const Bytes* cached = value_cache_.Find(req.key);
+    if (cached == nullptr) continue;  // absent: nothing to pin
+    forced.push_back(ads::FeedRecord{req.key, *cached, ads::ReplState::kR});
   }
   degraded_ = true;
   if (tracer_ != nullptr) {
@@ -570,8 +568,8 @@ void DoClient::Degrade(const std::vector<PendingRequest>& stale) {
   }
   if (!landed) return;
   for (const auto& record : forced) {
-    forced_replicas_.insert(record.key);
-    replicas_on_chain_.insert(record.key);
+    forced_replicas_.Insert(record.key);
+    replicas_on_chain_.Insert(record.key);
   }
 }
 
@@ -583,7 +581,7 @@ void DoClient::Undegrade() {
   }
   // Hand the forced keys back to the policy: mark them touched so the next
   // epoch close evicts any the policy wants off chain.
-  for (const auto& key : forced_replicas_) touched_.insert(key);
+  forced_replicas_.ForEach([this](ByteSpan key) { Touch(key); });
   forced_replicas_.clear();
 }
 

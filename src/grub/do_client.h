@@ -29,15 +29,20 @@
 // are counted by the workload monitor and, with tracing on, recorded as the
 // tracer's flip audit records. The monitor only listens: it hears each read
 // and write after the policy has decided on it, and no policy reads it back.
+//
+// Each observed read or write costs one policy lookup: Observe returns the
+// key's tier before and after. The DO's per-key sets (replicas, log pins,
+// forced replicas, keys touched this epoch) and its value cache are flat
+// KeySet / KeyMap tables (common/key_map.h); the touched keys are also kept
+// in a list that is sorted at epoch close, because that order is the
+// eviction and unpin order in the update() calldata.
 #pragma once
 
 #include <array>
-#include <set>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "chain/blockchain.h"
+#include "common/key_map.h"
 #include "fault/injector.h"
 #include "grub/policy.h"
 #include "grub/request_tracker.h"
@@ -68,9 +73,6 @@ class DoClient {
   static constexpr uint64_t kMaxUpdateAttempts = 3;
   /// Base of the deterministic exponential retry backoff.
   static constexpr chain::TimeSec kRetryBackoffSec = 2;
-
-  /// Hashed key set for the per-key sets consulted on every epoch close.
-  using KeySet = std::unordered_set<Bytes, BytesHash, BytesEqual>;
 
   /// `sp` carries the shard layout: the DO mirrors it with one tree per
   /// shard. A single-shard forest is the legacy deployment bit-for-bit.
@@ -218,9 +220,12 @@ class DoClient {
   void Degrade(const std::vector<PendingRequest>& stale);
   /// Leaves degraded mode; forced keys return to policy control.
   void Undegrade();
-  /// Compares a key's policy state before/after an Observe and reports a
-  /// flip to the workload monitor (no-op without one).
-  void NoteFlip(ads::ReplState before, ads::ReplState after);
+  /// Feeds one read or write of `key` to the policy (its one lookup) and
+  /// reports the step to the flip counter, the monitor, the tracer's audit
+  /// records and the SP's advisory tier; marks the key touched.
+  void ObserveOp(workload::OpType type, ByteSpan key, const char* audit_op);
+  /// Marks `key` as observed in the current epoch.
+  void Touch(ByteSpan key);
 
   chain::Blockchain& chain_;
   shard::ShardedAdsSp& sp_;
@@ -230,16 +235,21 @@ class DoClient {
 
   // DO-local copy of every key's current value (it produced them). Its one
   // reader is Degrade, which force-replicates starved keys with these values.
-  std::unordered_map<Bytes, Bytes, BytesHash, BytesEqual> value_cache_;
+  KeyMap<Bytes> value_cache_;
+  // The operation handed to the policy, reused so an observation copies the
+  // key into its existing buffer instead of allocating one.
+  workload::Operation observed_;
 
   struct BufferedWrite {
     Bytes key;
     Bytes value;
   };
   std::vector<BufferedWrite> pending_writes_;
-  // Keys observed since the last epoch close. Ordered: its order is the
+  // Keys observed since the last epoch close: the set answers membership,
+  // the list (first-touch order) is sorted at close, since its order is the
   // eviction and unpin order in the update() calldata.
-  std::set<Bytes> touched_;
+  KeySet touched_;
+  std::vector<Bytes> touched_keys_;
 
   KeySet replicas_on_chain_;
   KeySet log_pins_on_chain_;

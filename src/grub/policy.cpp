@@ -16,18 +16,16 @@ std::string FormatParam(double v) {
   return buf;
 }
 
-/// The key's state, or null when the policy has never observed the key.
-template <typename State>
-const State* FindState(const KeyMap<State>& states, const Bytes& key) {
-  auto it = states.find(key);
-  return it == states.end() ? nullptr : &it->second;
+/// The step of a binary policy whose key went from `before` to `after`.
+TierStep StepOf(ads::ReplState before, ads::ReplState after) {
+  return {tier::FromReplState(before), tier::FromReplState(after)};
 }
 
 }  // namespace
 
 // --- MemorylessPolicy (Algorithm 1) ---
 
-void MemorylessPolicy::Observe(const workload::Operation& op) {
+TierStep MemorylessPolicy::Observe(const workload::Operation& op) {
   State& s = states_[op.key];
   const uint64_t old_reads = s.consecutive_reads;
   const ads::ReplState old_state = s.state;
@@ -43,15 +41,16 @@ void MemorylessPolicy::Observe(const workload::Operation& op) {
     audit_before_ = "consecutive_reads=" + std::to_string(old_reads);
     audit_after_ = "consecutive_reads=" + std::to_string(s.consecutive_reads);
   }
+  return StepOf(old_state, s.state);
 }
 
 ads::ReplState MemorylessPolicy::StateOf(const Bytes& key) const {
-  const State* s = FindState(states_, key);
+  const State* s = states_.Find(key);
   return s == nullptr ? ads::ReplState::kNR : s->state;
 }
 
 std::string MemorylessPolicy::CounterState(const Bytes& key) const {
-  const State* s = FindState(states_, key);
+  const State* s = states_.Find(key);
   const uint64_t reads = s == nullptr ? 0 : s->consecutive_reads;
   return "consecutive_reads=" + std::to_string(reads);
 }
@@ -64,13 +63,13 @@ std::string MemorizingPolicy::Name() const {
 }
 
 std::string MemorizingPolicy::CounterState(const Bytes& key) const {
-  const State* s = FindState(states_, key);
+  const State* s = states_.Find(key);
   const double r = s == nullptr ? 0 : s->r_count;
   const double w = s == nullptr ? 0 : s->w_count;
   return "r=" + FormatParam(r) + ",w=" + FormatParam(w);
 }
 
-void MemorizingPolicy::Observe(const workload::Operation& op) {
+TierStep MemorizingPolicy::Observe(const workload::Operation& op) {
   State& s = states_[op.key];
   const double old_r = s.r_count;
   const double old_w = s.w_count;
@@ -100,10 +99,11 @@ void MemorizingPolicy::Observe(const workload::Operation& op) {
     audit_after_ =
         "r=" + FormatParam(s.r_count) + ",w=" + FormatParam(s.w_count);
   }
+  return StepOf(old_state, s.state);
 }
 
 ads::ReplState MemorizingPolicy::StateOf(const Bytes& key) const {
-  const State* s = FindState(states_, key);
+  const State* s = states_.Find(key);
   return s == nullptr ? ads::ReplState::kNR : s->state;
 }
 
@@ -130,11 +130,11 @@ std::string RenderAdaptiveState(const std::vector<uint64_t>& runs,
 
 }  // namespace
 
-void AdaptiveKPolicy::Observe(const workload::Operation& op) {
+TierStep AdaptiveKPolicy::Observe(const workload::Operation& op) {
   State& s = states_[op.key];
   if (op.type != OpType::kWrite) {
     s.reads_since_write += 1;
-    return;
+    return StepOf(s.state, s.state);
   }
   // Only writes can flip (below); reads on the hot path above pay nothing
   // for audit mode.
@@ -164,10 +164,11 @@ void AdaptiveKPolicy::Observe(const workload::Operation& op) {
     audit_before_ = std::move(before);
     audit_after_ = RenderAdaptiveState(s.recent_read_runs, s.reads_since_write);
   }
+  return StepOf(old_state, s.state);
 }
 
 ads::ReplState AdaptiveKPolicy::StateOf(const Bytes& key) const {
-  const State* s = FindState(states_, key);
+  const State* s = states_.Find(key);
   return s == nullptr ? ads::ReplState::kNR : s->state;
 }
 
@@ -178,7 +179,7 @@ std::string AdaptiveKPolicy::Name() const {
 }
 
 std::string AdaptiveKPolicy::CounterState(const Bytes& key) const {
-  const State* s = FindState(states_, key);
+  const State* s = states_.Find(key);
   if (s == nullptr) return "runs=[],reads_since_write=0";
   return RenderAdaptiveState(s->recent_read_runs, s->reads_since_write);
 }
@@ -238,7 +239,7 @@ void WindowedKPolicy::ObservePrice(uint64_t exec_milli, uint64_t storage_milli,
   if (recent_ratios_.size() > window_) recent_ratios_.pop_front();
 }
 
-void WindowedKPolicy::Observe(const workload::Operation& op) {
+TierStep WindowedKPolicy::Observe(const workload::Operation& op) {
   State& s = states_[op.key];
   const State before = s;
   const double k_eff = CurrentK();
@@ -246,10 +247,11 @@ void WindowedKPolicy::Observe(const workload::Operation& op) {
     audit_before_ = RenderPricedCounters(before, k_eff);
     audit_after_ = RenderPricedCounters(s, k_eff);
   }
+  return StepOf(before.state, s.state);
 }
 
 ads::ReplState WindowedKPolicy::StateOf(const Bytes& key) const {
-  const State* s = FindState(states_, key);
+  const State* s = states_.Find(key);
   return s == nullptr ? ads::ReplState::kNR : s->state;
 }
 
@@ -259,7 +261,7 @@ std::string WindowedKPolicy::Name() const {
 }
 
 std::string WindowedKPolicy::CounterState(const Bytes& key) const {
-  const State* s = FindState(states_, key);
+  const State* s = states_.Find(key);
   return RenderPricedCounters(s == nullptr ? State{} : *s, CurrentK());
 }
 
@@ -277,7 +279,7 @@ void PriceEwmaPolicy::ObservePrice(uint64_t exec_milli, uint64_t storage_milli,
                    static_cast<double>(exec_milli));
 }
 
-void PriceEwmaPolicy::Observe(const workload::Operation& op) {
+TierStep PriceEwmaPolicy::Observe(const workload::Operation& op) {
   State& s = states_[op.key];
   const State before = s;
   const double k_eff = CurrentK();
@@ -285,10 +287,11 @@ void PriceEwmaPolicy::Observe(const workload::Operation& op) {
     audit_before_ = RenderPricedCounters(before, k_eff);
     audit_after_ = RenderPricedCounters(s, k_eff);
   }
+  return StepOf(before.state, s.state);
 }
 
 ads::ReplState PriceEwmaPolicy::StateOf(const Bytes& key) const {
-  const State* s = FindState(states_, key);
+  const State* s = states_.Find(key);
   return s == nullptr ? ads::ReplState::kNR : s->state;
 }
 
@@ -298,7 +301,7 @@ std::string PriceEwmaPolicy::Name() const {
 }
 
 std::string PriceEwmaPolicy::CounterState(const Bytes& key) const {
-  const State* s = FindState(states_, key);
+  const State* s = states_.Find(key);
   return RenderPricedCounters(s == nullptr ? State{} : *s, CurrentK());
 }
 
@@ -328,42 +331,40 @@ OfflineOptimalPolicy::OfflineOptimalPolicy(const workload::Trace& trace,
     double exec_weight = 0.0;
     size_t write_index = 0;
   };
-  KeyMap<std::vector<WriteRun>> read_runs;
-  KeyMap<OpenRun> open_run;  // reads since the last write, per key
-  KeyMap<bool> has_open_write;
+  struct KeyRuns {
+    std::vector<WriteRun> runs;  // one per write, in order
+    OpenRun open;                // reads since the last write
+    void CloseLast() {
+      runs.back().reads = open.reads;
+      runs.back().exec_weight = open.exec_weight;
+    }
+  };
+  KeyMap<KeyRuns> per_key;
 
   for (size_t i = 0; i < trace.size(); ++i) {
     const auto& op = trace[i];
+    KeyRuns& k = per_key[op.key];
     if (op.type == OpType::kWrite) {
-      if (has_open_write[op.key]) {
-        auto& runs = read_runs[op.key];
-        runs.back().reads = open_run[op.key].reads;
-        runs.back().exec_weight = open_run[op.key].exec_weight;
-      }
-      has_open_write[op.key] = true;
-      open_run[op.key] = OpenRun{};
-      read_runs[op.key].push_back(WriteRun{.write_index = i});
+      if (!k.runs.empty()) k.CloseLast();
+      k.open = OpenRun{};
+      k.runs.push_back(WriteRun{.write_index = i});
     } else {
-      OpenRun& run = open_run[op.key];
-      run.reads += 1;
-      run.exec_weight +=
+      k.open.reads += 1;
+      k.open.exec_weight +=
           priced_ ? static_cast<double>(
                         model.schedule->At(model.BlockOf(i)).exec_milli) /
                         1000.0
                   : 1.0;
     }
   }
-  for (auto& [key, open] : has_open_write) {
-    if (open) {
-      auto& runs = read_runs[key];
-      runs.back().reads = open_run[key].reads;
-      runs.back().exec_weight = open_run[key].exec_weight;
-    }
-  }
 
   // Decision per write: replicate iff the following reads (at their prices)
-  // repay the replication cost (at the write's price).
-  for (auto& [key, runs] : read_runs) {
+  // repay the replication cost (at the write's price). Keys never written
+  // keep no state (StateOf defaults to NR).
+  per_key.ForEach([&](ByteSpan key, KeyRuns& k) {
+    if (k.runs.empty()) return;
+    k.CloseLast();
+    const std::vector<WriteRun>& runs = k.runs;
     State s;
     s.decisions.reserve(runs.size());
     for (const WriteRun& run : runs) {
@@ -379,15 +380,15 @@ OfflineOptimalPolicy::OfflineOptimalPolicy(const workload::Trace& trace,
               : ads::ReplState::kNR);
     }
     states_[key] = std::move(s);
-  }
+  });
 }
 
-void OfflineOptimalPolicy::Observe(const workload::Operation& op) {
-  if (op.type != OpType::kWrite) return;
-  auto found = states_.find(op.key);
-  if (found == states_.end()) return;
-  State& s = found->second;
+TierStep OfflineOptimalPolicy::Observe(const workload::Operation& op) {
+  State* found = states_.Find(op.key);
+  if (found == nullptr) return {};  // never written in the trace: NR
+  State& s = *found;
   const ads::ReplState old_state = s.state;
+  if (op.type != OpType::kWrite) return StepOf(old_state, old_state);
   const size_t old_next = s.next_write;
   if (s.next_write < s.decisions.size()) {
     s.state = s.decisions[s.next_write];
@@ -398,15 +399,16 @@ void OfflineOptimalPolicy::Observe(const workload::Operation& op) {
     audit_before_ = "next_write=" + std::to_string(old_next) + total;
     audit_after_ = "next_write=" + std::to_string(s.next_write) + total;
   }
+  return StepOf(old_state, s.state);
 }
 
 ads::ReplState OfflineOptimalPolicy::StateOf(const Bytes& key) const {
-  const State* s = FindState(states_, key);
+  const State* s = states_.Find(key);
   return s == nullptr ? ads::ReplState::kNR : s->state;
 }
 
 std::string OfflineOptimalPolicy::CounterState(const Bytes& key) const {
-  const State* s = FindState(states_, key);
+  const State* s = states_.Find(key);
   if (s == nullptr) return "next_write=0/0";
   return "next_write=" + std::to_string(s->next_write) + "/" +
          std::to_string(s->decisions.size());

@@ -21,29 +21,44 @@
 //    comparator lower bound in Fig. 8a.
 //  * AlwaysNR / AlwaysR: the static baselines BL1 / BL2 expressed as
 //    degenerate policies, so every feed variant shares one mechanism.
+//
+// The control plane consults a policy on every read and write, so each
+// stateful policy keeps its per-key state in one flat KeyMap
+// (common/key_map.h), and Observe answers the key's tier before and after
+// the observation from the same single probe that updates it.
 #pragma once
 
 #include <deque>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "ads/record.h"
 #include "chain/price.h"
+#include "common/key_map.h"
 #include "telemetry/sketch.h"
 #include "tier/tier.h"
 #include "workload/trace.h"
 
 namespace grub::core {
 
+/// A key's desired tier immediately before and after one observation.
+struct TierStep {
+  tier::StorageTier before = tier::StorageTier::kOffchain;
+  tier::StorageTier after = tier::StorageTier::kOffchain;
+
+  bool Flipped() const { return before != after; }
+};
+
 class ReplicationPolicy {
  public:
   virtual ~ReplicationPolicy() = default;
 
   /// Observes one operation (kWrite or kRead; scans are expanded into reads
-  /// by the control plane before they reach the policy).
-  virtual void Observe(const workload::Operation& op) = 0;
+  /// by the control plane before they reach the policy) and returns the
+  /// key's TierOf before and after it, from the one lookup that updates
+  /// the key's state, so callers never probe around an observation.
+  virtual TierStep Observe(const workload::Operation& op) = 0;
 
   /// Desired replication state of `key` right now.
   virtual ads::ReplState StateOf(const Bytes& key) const = 0;
@@ -100,17 +115,11 @@ class ReplicationPolicy {
   std::string audit_after_;
 };
 
-/// Per-key policy state: hashed, because the control plane consults a
-/// policy on every read and write. Policies look keys up one at a time and
-/// never let the table's iteration order reach a decision or an output.
-template <typename V>
-using KeyMap = std::unordered_map<Bytes, V, BytesHash, BytesEqual>;
-
 class MemorylessPolicy : public ReplicationPolicy {
  public:
   explicit MemorylessPolicy(uint64_t k) : k_(k) {}
 
-  void Observe(const workload::Operation& op) override;
+  TierStep Observe(const workload::Operation& op) override;
   ads::ReplState StateOf(const Bytes& key) const override;
   std::string Name() const override {
     return "memoryless(K=" + std::to_string(k_) + ")";
@@ -130,7 +139,7 @@ class MemorizingPolicy : public ReplicationPolicy {
  public:
   MemorizingPolicy(double k_prime, double d) : k_prime_(k_prime), d_(d) {}
 
-  void Observe(const workload::Operation& op) override;
+  TierStep Observe(const workload::Operation& op) override;
   ads::ReplState StateOf(const Bytes& key) const override;
   std::string Name() const override;
   std::string CounterState(const Bytes& key) const override;
@@ -156,7 +165,7 @@ class AdaptiveKPolicy : public ReplicationPolicy {
         window_(window),
         repeat_hypothesis_(repeat_hypothesis) {}
 
-  void Observe(const workload::Operation& op) override;
+  TierStep Observe(const workload::Operation& op) override;
   ads::ReplState StateOf(const Bytes& key) const override;
   std::string Name() const override;
   std::string CounterState(const Bytes& key) const override;
@@ -200,7 +209,7 @@ class WindowedKPolicy : public ReplicationPolicy {
   explicit WindowedKPolicy(double base_k, size_t window = 8)
       : base_k_(base_k), window_(window == 0 ? 1 : window) {}
 
-  void Observe(const workload::Operation& op) override;
+  TierStep Observe(const workload::Operation& op) override;
   void ObservePrice(uint64_t exec_milli, uint64_t storage_milli,
                     uint64_t block) override;
   ads::ReplState StateOf(const Bytes& key) const override;
@@ -234,7 +243,7 @@ class PriceEwmaPolicy : public ReplicationPolicy {
   explicit PriceEwmaPolicy(double base_k, double alpha = 0.25)
       : base_k_(base_k), alpha_(alpha), detector_(alpha) {}
 
-  void Observe(const workload::Operation& op) override;
+  TierStep Observe(const workload::Operation& op) override;
   void ObservePrice(uint64_t exec_milli, uint64_t storage_milli,
                     uint64_t block) override;
   ads::ReplState StateOf(const Bytes& key) const override;
@@ -291,7 +300,7 @@ class OfflineOptimalPolicy : public ReplicationPolicy {
   OfflineOptimalPolicy(const workload::Trace& trace, double break_even_reads,
                        const PriceReplayModel& model);
 
-  void Observe(const workload::Operation& op) override;
+  TierStep Observe(const workload::Operation& op) override;
   ads::ReplState StateOf(const Bytes& key) const override;
   std::string Name() const override {
     return priced_ ? "offline-optimal(priced)" : "offline-optimal";
@@ -312,7 +321,10 @@ class StaticPolicy : public ReplicationPolicy {
  public:
   explicit StaticPolicy(ads::ReplState state) : state_(state) {}
 
-  void Observe(const workload::Operation&) override {}
+  TierStep Observe(const workload::Operation&) override {
+    const tier::StorageTier t = tier::FromReplState(state_);
+    return {t, t};
+  }
   ads::ReplState StateOf(const Bytes&) const override { return state_; }
   std::string Name() const override {
     return state_ == ads::ReplState::kR ? "always-replicate(BL2)"

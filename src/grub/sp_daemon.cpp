@@ -31,14 +31,11 @@ void SpDaemon::FoldLogEvents() {
     if (event.contract != manager_) continue;
     if (event.name == StorageManagerContract::kDataEvent) {
       chain::AbiReader r(event.data);
-      Bytes key = r.Blob();
-      Bytes value = r.Blob();
-      log_values_[std::move(key)] = std::move(value);
+      const ByteSpan key = r.BlobView();
+      log_values_[key] = r.Blob();
     } else if (event.name == StorageManagerContract::kUnpinEvent) {
       chain::AbiReader r(event.data);
-      if (auto it = log_values_.find(r.BlobView()); it != log_values_.end()) {
-        log_values_.erase(it);
-      }
+      log_values_.Erase(r.BlobView());
     }
   }
 }
@@ -83,9 +80,8 @@ void SpDaemon::MutateEntries(std::vector<DeliverEntry>& entries) {
     // counted fire, still deterministic.
     for (auto& entry : entries) {
       if (entry.kind != DeliverEntry::Kind::kQuery) continue;
-      auto it = stale_proofs_.find(entry.key);
-      if (it != stale_proofs_.end()) {
-        entry.query = it->second;
+      if (const ads::QueryProof* stale = stale_proofs_.Find(entry.key)) {
+        entry.query = *stale;
         break;
       }
     }
@@ -223,15 +219,15 @@ size_t SpDaemon::PollAndServe() {
     entry.callback_function = callback_function;
 
     const tier::StorageTier placement = sp_.EffectiveTier(key);
-    const auto folded = placement == tier::StorageTier::kLog
-                            ? log_values_.find(key)
-                            : log_values_.end();
-    if (folded != log_values_.end()) {
+    const Bytes* folded = placement == tier::StorageTier::kLog
+                              ? log_values_.Find(key)
+                              : nullptr;
+    if (folded != nullptr) {
       // Log-tier serve: replay the receipt value; the contract verifies it
       // against the digest pin (no Merkle path, no replicate hint — the
       // value never materializes in contract storage).
       entry.kind = DeliverEntry::Kind::kDigest;
-      entry.value = folded->second;
+      entry.value = *folded;
       digest_entries_served_ += 1;
     } else {
       auto proof = sp_.Get(key);
@@ -288,7 +284,8 @@ size_t SpDaemon::PollAndServe() {
     // it goes genuinely stale once the root moves on.
     for (const auto& entry : entries) {
       if (entry.kind == DeliverEntry::Kind::kQuery) {
-        stale_proofs_.emplace(entry.key, entry.query);
+        auto [proof, first] = stale_proofs_.FindOrInsert(entry.key);
+        if (first) *proof = entry.query;
       }
     }
     if (adversary_->Fire(fault::AdversaryClass::kOmit)) {

@@ -22,10 +22,10 @@
 #pragma once
 
 #include <optional>
-#include <unordered_map>
 
 #include "shard/forest.h"
 #include "chain/blockchain.h"
+#include "common/key_map.h"
 #include "fault/adversary.h"
 #include "fault/injector.h"
 #include "grub/request_tracker.h"
@@ -151,7 +151,7 @@ class SpDaemon {
   uint64_t log_fold_cursor_ = 0;  // next log index the value fold inspects
   /// Live log-tier values reconstructed from `grub_data` receipts (erased on
   /// `grub_unpin`). THE storage log-tier reads are served from.
-  std::unordered_map<Bytes, Bytes, BytesHash, BytesEqual> log_values_;
+  KeyMap<Bytes> log_values_;
   uint64_t digest_entries_served_ = 0;
   uint64_t delivers_sent_ = 0;
   uint64_t deliver_retries_ = 0;
@@ -171,8 +171,7 @@ class SpDaemon {
   /// Adversary ammunition, maintained only while an adversary is armed: the
   /// first proof ever served per key (goes stale once the root moves) and
   /// the last accepted deliver calldata (for replay).
-  std::unordered_map<Bytes, ads::QueryProof, BytesHash, BytesEqual>
-      stale_proofs_;
+  KeyMap<ads::QueryProof> stale_proofs_;
   Bytes last_good_calldata_;
 };
 

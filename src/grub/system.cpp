@@ -227,9 +227,7 @@ void GrubSystem::SetWatch(uint64_t every_blocks, std::ostream* out) {
 
 void GrubSystem::ObserveOracle(Feed& feed, const workload::Operation& op) {
   if (feed.oracle_ == nullptr || feed.workload_ == nullptr) return;
-  const ads::ReplState before = feed.oracle_->StateOf(op.key);
-  feed.oracle_->Observe(op);
-  if (feed.oracle_->StateOf(op.key) != before) feed.workload_->OnOracleFlip();
+  if (feed.oracle_->Observe(op).Flipped()) feed.workload_->OnOracleFlip();
 }
 
 void GrubSystem::MaybeEmitWatch() {

@@ -61,13 +61,13 @@ TraceSpan* Tracer::Find(uint64_t span_id) {
 uint64_t Tracer::OldestOpen(ByteSpan key, bool is_scan) const {
   if (is_scan) {
     for (uint64_t id : open_scans_) {
-      if (BytesEqual{}(spans_[id - 1].key, key)) return id;
+      if (Compare(spans_[id - 1].key, key) == 0) return id;
     }
     return 0;
   }
-  auto it = gets_.find(key);
-  if (it == gets_.end() || !it->second.HasOpen()) return 0;
-  return it->second.Oldest();
+  const KeyState* state = gets_.Find(key);
+  if (state == nullptr || !state->HasOpen()) return 0;
+  return state->Oldest();
 }
 
 uint64_t Tracer::BeginRequest(const Bytes& key, bool is_scan,
@@ -89,13 +89,13 @@ uint64_t Tracer::BeginRequest(const Bytes& key, bool is_scan,
   if (is_scan) {
     open_scans_.push_back(span.id);
   } else {
-    StateFor(key).open.push_back(span.id);
+    gets_[key].open.push_back(span.id);
   }
   return span.id;
 }
 
 void Tracer::CompleteRequest(ByteSpan key, uint64_t block, bool found) {
-  KeyState* state = FindState(key);
+  KeyState* state = gets_.Find(key);
   if (state != nullptr && state->HasOpen()) {
     const uint64_t id = state->Oldest();
     state->PopOldest();
@@ -151,7 +151,7 @@ void Tracer::AnnotateRequest(ByteSpan key, bool is_scan,
                              const std::string& detail) {
   uint64_t id = OldestOpen(key, is_scan);
   if (id == 0 && !is_scan) {
-    if (auto it = gets_.find(key); it != gets_.end()) id = it->second.last_closed;
+    if (const KeyState* state = gets_.Find(key)) id = state->last_closed;
   }
   if (id == 0) return;
   TraceSpan& span = spans_[id - 1];
@@ -233,8 +233,6 @@ void Tracer::Clear() {
   seq_ = 0;
   unmatched_callbacks_ = 0;
   gets_.clear();
-  memo_key_ = nullptr;
-  memo_state_ = nullptr;
   open_scans_.clear();
 }
 

@@ -32,11 +32,11 @@
 #include <deque>
 #include <ostream>
 #include <string>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "common/bytes.h"
+#include "common/key_map.h"
 
 namespace grub::telemetry {
 
@@ -217,34 +217,9 @@ class Tracer {
     }
   };
 
-  /// Insert-or-find with a one-entry memo: feed workloads hammer a small hot
-  /// set, so the repeated-key case skips the hash probe entirely. Safe to
-  /// cache across inserts — unordered_map never moves nodes on rehash, and
-  /// the map only shrinks in Clear() (which drops the memo).
-  KeyState& StateFor(const Bytes& key) {
-    if (memo_state_ != nullptr && *memo_key_ == key) return *memo_state_;
-    auto& entry = *gets_.try_emplace(key).first;
-    memo_key_ = &entry.first;
-    memo_state_ = &entry.second;
-    return entry.second;
-  }
-  /// Find-only twin of StateFor for a key given as a view (no key copy);
-  /// null when the key never opened a request.
-  KeyState* FindState(ByteSpan key) {
-    if (memo_state_ != nullptr && BytesEqual{}(*memo_key_, key)) {
-      return memo_state_;
-    }
-    auto it = gets_.find(key);
-    if (it == gets_.end()) return nullptr;
-    memo_key_ = &it->first;
-    memo_state_ = &it->second;
-    return &it->second;
-  }
-
-  /// Hashed: the request-matching map sits on the per-read path.
-  std::unordered_map<Bytes, KeyState, BytesHash, BytesEqual> gets_;
-  const Bytes* memo_key_ = nullptr;  // points into gets_ (node-stable)
-  KeyState* memo_state_ = nullptr;
+  /// The request-matching table sits on the per-read path: opening and
+  /// closing a request each cost one probe.
+  KeyMap<KeyState> gets_;
   std::deque<uint64_t> open_scans_;
 };
 

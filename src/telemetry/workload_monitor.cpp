@@ -41,7 +41,7 @@ void WorkloadMonitor::Touch(const Bytes& key, uint64_t block, bool is_write) {
   }
   // The sketch tracks total touches; per-key read/write splits (the K
   // estimate) live in side state that follows sketch admission/eviction.
-  if (auto evicted = sketch_.Touch(key)) key_stats_.erase(*evicted);
+  if (auto evicted = sketch_.Touch(key)) key_stats_.Erase(*evicted);
   KeyStats& stats = key_stats_[key];
   if (is_write) {
     stats.writes += 1;
@@ -103,8 +103,7 @@ std::vector<HotKey> WorkloadMonitor::HotKeys(size_t k) const {
 
 const WorkloadMonitor::KeyStats* WorkloadMonitor::StatsOf(
     const Bytes& key) const {
-  auto it = key_stats_.find(key);
-  return it == key_stats_.end() ? nullptr : &it->second;
+  return key_stats_.Find(key);
 }
 
 double WorkloadMonitor::GlobalKEstimate() const {

@@ -31,10 +31,10 @@
 #include <cstdio>
 #include <functional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "common/bytes.h"
+#include "common/key_map.h"
 #include "telemetry/json.h"
 #include "telemetry/sketch.h"
 
@@ -139,9 +139,9 @@ class WorkloadMonitor {
 
   Options options_;
   SpaceSavingSketch sketch_;
-  /// Sketch-tracked keys only. Hashed: one lookup per observed op, and
-  /// nothing iterates it (StatsOf serves the hot-key K estimates).
-  std::unordered_map<Bytes, KeyStats, BytesHash, BytesEqual> key_stats_;
+  /// Sketch-tracked keys only: one probe per observed op, and nothing
+  /// iterates it (StatsOf serves the hot-key K estimates).
+  KeyMap<KeyStats> key_stats_;
   std::vector<ShardStats> shard_stats_;
   std::vector<BlockRateEstimator> shard_read_rate_;
   std::vector<BlockRateEstimator> shard_write_rate_;

@@ -10,17 +10,23 @@ AdaptiveTierPolicy::AdaptiveTierPolicy(const TierCostModel& cost,
       options_(options),
       sketch_(options.sketch_capacity == 0 ? 1 : options.sketch_capacity) {}
 
-void AdaptiveTierPolicy::Observe(const workload::Operation& op) {
-  if (op.type == workload::OpType::kScan) return;  // expanded upstream
+core::TierStep AdaptiveTierPolicy::Observe(const workload::Operation& op) {
+  if (op.type == workload::OpType::kScan) {  // expanded upstream
+    const StorageTier t = TierOf(op.key);
+    return {t, t};
+  }
   // Admit the key to the hot set; a displaced key loses its counters AND
-  // its tier — cold keys revert to the zero-holding-cost default.
+  // its tier — cold keys revert to the zero-holding-cost default. The
+  // displaced key is never op.key (a tracked key is never displaced by its
+  // own touch), so the lookup below still sees op.key's tier before.
   if (auto evicted = sketch_.Touch(op.key)) {
     counts_.erase(*evicted);
   }
-  Counts& counts = counts_[op.key];
+  Counts& counts = counts_.try_emplace(op.key).first->second;
+  const StorageTier before = counts.tier;  // kOffchain when just inserted
   if (op.type == workload::OpType::kRead) {
     counts.reads += 1;
-    return;  // tier decisions happen at writes, where they ride for free
+    return {before, before};  // tier decisions happen at writes, for free
   }
   counts.writes += 1;
   if (!op.value.empty()) counts.value_bytes = op.value.size();
@@ -31,6 +37,7 @@ void AdaptiveTierPolicy::Observe(const workload::Operation& op) {
                        static_cast<double>(counts.writes);
   counts.tier = cost_.CheapestPriced(k_hat, op.key.size(), value_bytes,
                                      exec_milli_, storage_milli_);
+  return {before, counts.tier};
 }
 
 void AdaptiveTierPolicy::ObservePrice(uint64_t exec_milli,

@@ -28,7 +28,9 @@ class StaticTierPolicy : public core::ReplicationPolicy {
  public:
   explicit StaticTierPolicy(StorageTier t) : tier_(t) {}
 
-  void Observe(const workload::Operation&) override {}
+  core::TierStep Observe(const workload::Operation&) override {
+    return {tier_, tier_};
+  }
   ads::ReplState StateOf(const Bytes&) const override {
     return ToReplState(tier_);
   }
@@ -55,7 +57,7 @@ class AdaptiveTierPolicy : public core::ReplicationPolicy {
       : AdaptiveTierPolicy(cost, Options()) {}
   AdaptiveTierPolicy(const TierCostModel& cost, Options options);
 
-  void Observe(const workload::Operation& op) override;
+  core::TierStep Observe(const workload::Operation& op) override;
   /// Under a non-unit GasPriceSchedule the control plane feeds the current
   /// multipliers here; subsequent write decisions argmin CheapestPriced at
   /// them. Never called on constant-price runs, and 1000/1000 is the exact

@@ -5,9 +5,9 @@
 
 namespace grub::workload {
 
-double ZipfianGenerator::Zeta(uint64_t n, double theta) {
-  double sum = 0;
-  for (uint64_t i = 0; i < n; ++i) {
+double ZipfianGenerator::Zeta(uint64_t n, double theta, uint64_t from,
+                              double sum) {
+  for (uint64_t i = from; i < n; ++i) {
     sum += 1.0 / std::pow(static_cast<double>(i + 1), theta);
   }
   return sum;
@@ -23,10 +23,16 @@ ZipfianGenerator::ZipfianGenerator(uint64_t item_count, double theta)
 
 void ZipfianGenerator::SetItemCount(uint64_t item_count) {
   if (item_count == item_count_) return;
+  // Growth adds only the new terms to the running sum, in index order: the
+  // same additions in the same order as a sum from scratch, so zeta_n_ is
+  // bit-identical to one. YCSB-D's latest generator grows the count by one
+  // per insert, so each of its key choices adds at most one term.
+  zeta_n_ = item_count > item_count_
+                ? Zeta(item_count, theta_, item_count_, zeta_n_)
+                : Zeta(item_count, theta_, 0, 0.0);
   item_count_ = item_count;
-  zeta_n_ = Zeta(item_count_, theta_);
   alpha_ = 1.0 / (1.0 - theta_);
-  const double zeta2 = Zeta(2, theta_);
+  const double zeta2 = Zeta(2, theta_, 0, 0.0);
   eta_ = (1.0 - std::pow(2.0 / static_cast<double>(item_count_), 1.0 - theta_)) /
          (1.0 - zeta2 / zeta_n_);
 }

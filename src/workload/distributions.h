@@ -18,13 +18,15 @@ class ZipfianGenerator {
 
   uint64_t Next(Rng& rng);
 
-  /// Extends the item range (used when inserts grow the key space).
+  /// Changes the item range (inserts grow the key space). Growing from n to
+  /// m costs m - n terms of the zeta sum; shrinking recomputes it.
   void SetItemCount(uint64_t item_count);
 
   uint64_t ItemCount() const { return item_count_; }
 
  private:
-  static double Zeta(uint64_t n, double theta);
+  /// `sum` plus the zeta terms for items [from, n), added in index order.
+  static double Zeta(uint64_t n, double theta, uint64_t from, double sum);
 
   uint64_t item_count_;
   double theta_;

@@ -102,7 +102,9 @@ TEST(AdsDo, RandomBatchesMatchFromScratchTree) {
   // Differential, seeded: after every batch (updates, repeated keys,
   // inserts at the front/middle/end) or delete, both incremental trees
   // must equal a from-scratch tree. Comparing DO and SP roots alone could
-  // not catch a bug both sides share.
+  // not catch a bug both sides share. The SP's key index must return each
+  // model key at its rank and miss every other key around and between
+  // them.
   for (uint64_t seed = 1; seed <= 8; ++seed) {
     BatchGen gen(seed);
     AdsSp sp;
@@ -128,6 +130,9 @@ TEST(AdsDo, RandomBatchesMatchFromScratchTree) {
       ASSERT_TRUE(scan.ok());
       ASSERT_EQ(scan->records.size(), model.size());
       ASSERT_TRUE(VerifyScan(expected.Root(), Bytes{}, Bytes{}, *scan));
+      ASSERT_NO_FATAL_FAILURE(
+          ExpectLookupsMatchRanks(sp, model, gen.front - 2, gen.end + 2))
+          << "seed " << seed << " step " << step;
     }
   }
 }

@@ -1,7 +1,10 @@
 // Seeded random update batches for the ADS differential tests, and the
-// slow path they are checked against: a Merkle tree built from scratch over
-// the key-sorted records' leaf hashes.
+// slow paths they are checked against: a Merkle tree built from scratch over
+// the key-sorted records' leaf hashes, and each key's rank in the sorted
+// model as the leaf index the SP's key index must return.
 #pragma once
+
+#include <gtest/gtest.h>
 
 #include <iterator>
 #include <map>
@@ -10,6 +13,7 @@
 #include <vector>
 
 #include "ads/record.h"
+#include "ads/sp.h"
 #include "common/rng.h"
 #include "crypto/merkle.h"
 #include "workload/trace.h"
@@ -24,6 +28,34 @@ inline MerkleTree FromScratch(const Model& model) {
   std::vector<Hash256> leaves;
   for (const auto& [id, record] : model) leaves.push_back(record.LeafHash());
   return MerkleTree(std::move(leaves));
+}
+
+// The SP's exact-match lookups against `model` (the SP's records) for every
+// key id in [lo, hi): a model key is found at its rank in key order with
+// its record, any other key is NotFound, and with no advisory tier set
+// EffectiveTier falls back to the record's state (off-chain when absent).
+inline void ExpectLookupsMatchRanks(const AdsSp& sp, const Model& model,
+                                    uint64_t lo, uint64_t hi) {
+  std::map<uint64_t, size_t> rank;
+  for (const auto& [id, record] : model) rank.emplace(id, rank.size());
+  for (uint64_t id = lo; id < hi; ++id) {
+    const Bytes key = workload::MakeKey(id);
+    const auto proof = sp.Get(key);
+    const auto peek = sp.Peek(key);
+    const auto it = model.find(id);
+    if (it == model.end()) {
+      ASSERT_EQ(proof.status().code(), StatusCode::kNotFound) << "id " << id;
+      ASSERT_EQ(peek.status().code(), StatusCode::kNotFound) << "id " << id;
+      ASSERT_EQ(sp.EffectiveTier(key), tier::StorageTier::kOffchain);
+      continue;
+    }
+    ASSERT_TRUE(proof.ok()) << "id " << id;
+    ASSERT_EQ(proof->index, rank.at(id)) << "id " << id;
+    ASSERT_EQ(proof->record, it->second) << "id " << id;
+    ASSERT_TRUE(peek.ok()) << "id " << id;
+    ASSERT_EQ(*peek, it->second) << "id " << id;
+    ASSERT_EQ(sp.EffectiveTier(key), tier::FromReplState(it->second.state));
+  }
 }
 
 // Key ids: a seed set sits on even ids in [400, 600); inserts land below it

@@ -17,7 +17,7 @@ TEST(DoClient, TracksLazyReplicationFromDeliverHistory) {
   system.ReadNow(MakeKey(0));  // flips the decision to R (K=1)
   system.ReadNow(MakeKey(0));  // the deliver materializes the replica
   system.EndEpoch();           // monitor decodes the deliver transactions
-  EXPECT_EQ(system.Do().OnChainReplicas().count(MakeKey(0)), 1u);
+  EXPECT_TRUE(system.Do().OnChainReplicas().Contains(MakeKey(0)));
 }
 
 TEST(DoClient, WriteEvictsMemorylessReplica) {
@@ -26,11 +26,11 @@ TEST(DoClient, WriteEvictsMemorylessReplica) {
   system.ReadNow(MakeKey(0));
   system.ReadNow(MakeKey(0));
   system.EndEpoch();
-  ASSERT_EQ(system.Do().OnChainReplicas().count(MakeKey(0)), 1u);
+  ASSERT_TRUE(system.Do().OnChainReplicas().Contains(MakeKey(0)));
 
   system.Write(MakeKey(0), Bytes(32, 2));  // Algorithm 1: write -> NR
   system.EndEpoch();
-  EXPECT_EQ(system.Do().OnChainReplicas().count(MakeKey(0)), 0u);
+  EXPECT_FALSE(system.Do().OnChainReplicas().Contains(MakeKey(0)));
   // The next read misses (replica invalidated on chain).
   const uint64_t delivers = system.Daemon().delivers_sent();
   system.ReadNow(MakeKey(0));

@@ -5,6 +5,11 @@
 // used before their state moved behind one hash lookup. Seeded random
 // read/write streams drive both sides; after every operation the policy's
 // StateOf and CounterState for the operation's key must equal the model's.
+//
+// A second case list holds every policy's Observe to its contract: the
+// step it returns is the key's TierOf immediately before and after the
+// observation, the two lookups the control plane made before Observe
+// returned the step.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -16,8 +21,10 @@
 #include <tuple>
 #include <vector>
 
+#include "chain/gas.h"
 #include "common/rng.h"
 #include "grub/policy.h"
+#include "tier/placement.h"
 #include "workload/trace.h"
 
 namespace grub::core {
@@ -231,17 +238,138 @@ TEST_P(PolicyDifferentialTest, MatchesOrderedReferenceModelAfterEveryOp) {
   }
 }
 
+std::string ParamName(std::string name, uint64_t seed) {
+  for (char& ch : name) {
+    if (ch == '.') ch = '_';
+  }
+  return name + "_seed" + std::to_string(seed);
+}
+
 INSTANTIATE_TEST_SUITE_P(
     PoliciesBySeed, PolicyDifferentialTest,
     ::testing::Combine(::testing::Range<size_t>(0, 5),
                        ::testing::Values<uint64_t>(17, 29)),
     [](const ::testing::TestParamInfo<PolicyDifferentialTest::ParamType>&
            info) {
-      std::string name = Cases()[std::get<0>(info.param)].name;
-      for (char& ch : name) {
-        if (ch == '.') ch = '_';
-      }
-      return name + "_seed" + std::to_string(std::get<1>(info.param));
+      return ParamName(Cases()[std::get<0>(info.param)].name,
+                       std::get<1>(info.param));
+    });
+
+// --- Observe's returned step against TierOf around it ---
+
+// The differential stream, with write values of two sizes so the tier
+// policy's cost argmin sees both.
+workload::Trace RandomStream(uint64_t seed) {
+  std::vector<Bytes> keys(kKeys);
+  for (uint64_t i = 0; i < kKeys; ++i) keys[i] = MakeKey(i);
+  Rng rng(seed);
+  workload::Trace trace;
+  trace.reserve(kOps);
+  for (size_t i = 0; i < kOps; ++i) {
+    const Bytes& key =
+        keys[rng.NextBool(0.5) ? rng.NextBounded(kHotKeys)
+                               : rng.NextBounded(kKeys)];
+    trace.push_back(rng.NextBool(kReadFraction)
+                        ? Operation::Read(key)
+                        : Operation::Write(key, Bytes(rng.NextBool(0.5)
+                                                          ? 32
+                                                          : 512,
+                                                      0x5A)));
+  }
+  return trace;
+}
+
+struct StepCase {
+  const char* name;
+  std::function<std::unique_ptr<ReplicationPolicy>(const workload::Trace&)>
+      policy;
+  bool priced = false;  // interleave ObservePrice with the stream
+  bool flips = true;    // the stream must flip some key
+};
+
+std::vector<StepCase> StepCases() {
+  const chain::GasSchedule gas;
+  using Trace = workload::Trace;
+  return {
+      {"memoryless_k3",
+       [](const Trace&) { return std::make_unique<MemorylessPolicy>(3); }},
+      {"memorizing_k2_d1",
+       [](const Trace&) { return std::make_unique<MemorizingPolicy>(2, 1); }},
+      {"adaptive_k1",
+       [](const Trace&) { return std::make_unique<AdaptiveK1Policy>(3, 3); }},
+      {"adaptive_k2",
+       [](const Trace&) { return std::make_unique<AdaptiveK2Policy>(3, 3); }},
+      {"windowed_k_priced",
+       [](const Trace&) { return std::make_unique<WindowedKPolicy>(2, 4); },
+       /*priced=*/true},
+      {"price_ewma_priced",
+       [](const Trace&) { return std::make_unique<PriceEwmaPolicy>(2, 0.25); },
+       /*priced=*/true},
+      {"offline_optimal",
+       [](const Trace& trace) {
+         return std::make_unique<OfflineOptimalPolicy>(trace, 3.0);
+       }},
+      {"static_bl1", [](const Trace&) { return MakeBL1(); }, false, false},
+      {"static_bl2", [](const Trace&) { return MakeBL2(); }, false, false},
+      {"static_tier_log",
+       [](const Trace&) {
+         return std::make_unique<tier::StaticTierPolicy>(
+             tier::StorageTier::kLog);
+       },
+       false, false},
+      {"adaptive_tier_hot8",
+       [gas](const Trace&) {
+         tier::AdaptiveTierPolicy::Options options;
+         options.sketch_capacity = 8;  // far below the key space: evictions
+         return std::make_unique<tier::AdaptiveTierPolicy>(
+             tier::TierCostModel(gas), options);
+       }},
+      {"adaptive_tier_priced",
+       [gas](const Trace&) {
+         return std::make_unique<tier::AdaptiveTierPolicy>(
+             tier::TierCostModel(gas));
+       },
+       /*priced=*/true},
+  };
+}
+
+class PolicyStepTest
+    : public ::testing::TestWithParam<std::tuple<size_t, uint64_t>> {};
+
+TEST_P(PolicyStepTest, ObserveReturnsTierOfBeforeAndAfter) {
+  const auto [case_index, seed] = GetParam();
+  const StepCase c = StepCases()[case_index];
+  const workload::Trace trace = RandomStream(seed);
+  auto policy = c.policy(trace);
+  Rng prices(seed);
+  size_t flips = 0;
+  for (size_t i = 0; i < trace.size(); ++i) {
+    if (c.priced && i % 256 == 0) {
+      policy->ObservePrice(1000 + prices.NextBounded(2000),
+                           1000 + prices.NextBounded(4000), i);
+    }
+    const Operation& op = trace[i];
+    const tier::StorageTier before = policy->TierOf(op.key);
+    const TierStep step = policy->Observe(op);
+    ASSERT_EQ(step.before, before) << c.name << " seed " << seed << " op " << i;
+    ASSERT_EQ(step.after, policy->TierOf(op.key))
+        << c.name << " seed " << seed << " op " << i;
+    flips += step.Flipped() ? 1 : 0;
+  }
+  if (c.flips) {
+    EXPECT_GT(flips, 0u) << c.name;
+  } else {
+    EXPECT_EQ(flips, 0u) << c.name;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    PoliciesBySeed, PolicyStepTest,
+    ::testing::Combine(::testing::Range<size_t>(0, StepCases().size()),
+                       ::testing::Values<uint64_t>(17, 29)),
+    [](const ::testing::TestParamInfo<PolicyStepTest::ParamType>& info) {
+      return ParamName(StepCases()[std::get<0>(info.param)].name,
+                       std::get<1>(info.param));
     });
 
 }  // namespace

@@ -175,8 +175,10 @@ std::set<Bytes> KeysWithLiveSlot(GrubSystem& system, size_t keys,
   return live;
 }
 
-std::set<Bytes> Sorted(const DoClient::KeySet& keys) {
-  return {keys.begin(), keys.end()};
+std::set<Bytes> Sorted(const KeySet& keys) {
+  std::set<Bytes> sorted;
+  keys.ForEach([&](ByteSpan key) { sorted.emplace(key.begin(), key.end()); });
+  return sorted;
 }
 
 // Under faults the DO's record and contract storage differ only by the
@@ -237,8 +239,10 @@ TEST_P(SystemPropertyTest, TrackedReplicasEqualLiveLengthSlots) {
 // after an even number, so one run both pins and unpins.
 class AlternatingLogPolicy : public ReplicationPolicy {
  public:
-  void Observe(const Operation& op) override {
+  TierStep Observe(const Operation& op) override {
+    const tier::StorageTier before = TierOf(op.key);
     if (op.type == workload::OpType::kWrite) writes_[op.key] += 1;
+    return {before, TierOf(op.key)};
   }
   ads::ReplState StateOf(const Bytes&) const override {
     return ads::ReplState::kNR;

@@ -217,8 +217,10 @@ TEST_P(ForestDifferential, RandomBatchesMatchFromScratchTrees) {
   // Differential, seeded: epochs of random batches (updates, repeated keys,
   // inserts at the front/middle/end) split by shard as DoClient sends them,
   // plus deletes. After each, every shard's DO root, SP root and capacity
-  // must equal a from-scratch tree over that shard's records. The 4-way map
-  // starts with two empty shards that fill from the front and end inserts.
+  // must equal a from-scratch tree over that shard's records, and each
+  // shard SP's key index must return every key of the shard at its rank in
+  // the shard and miss every other key. The 4-way map starts with two empty
+  // shards that fill from the front and end inserts.
   const ShardMap map =
       GetParam() == 1
           ? ShardMap()
@@ -255,6 +257,9 @@ TEST_P(ForestDifferential, RandomBatchesMatchFromScratchTrees) {
             << "seed " << seed << " step " << step << " shard " << s;
         ASSERT_EQ(sp.ShardRoot(s), expected.Root());
         ASSERT_EQ(sp.Shard(s).Capacity(), expected.Capacity());
+        ASSERT_NO_FATAL_FAILURE(ads::ExpectLookupsMatchRanks(
+            sp.Shard(s), shard_models[s], gen.front - 2, gen.end + 2))
+            << "seed " << seed << " step " << step << " shard " << s;
         roots.push_back(expected.Root());
       }
       ASSERT_EQ(ads_do.RootOfRoots(), ComputeRootOfRoots(roots));

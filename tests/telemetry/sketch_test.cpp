@@ -6,9 +6,9 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
+#include "common/key_map.h"
 #include "telemetry/percentile.h"
 #include "telemetry/sketch.h"
 
@@ -55,7 +55,7 @@ TEST(SpaceSavingSketch, BoundsHoldAgainstGroundTruthUnderEviction) {
   // Deterministic skewed stream over a key space 4x the capacity: key k
   // appears roughly 64/(k+1) times, so evictions churn the tail constantly.
   SpaceSavingSketch sketch(8);
-  std::unordered_map<Bytes, uint64_t, BytesHash, BytesEqual> truth;
+  KeyMap<uint64_t> truth;
   for (uint8_t k = 0; k < 32; ++k) {
     const int reps = 64 / (k + 1);
     for (int r = 0; r < reps; ++r) {
@@ -65,7 +65,8 @@ TEST(SpaceSavingSketch, BoundsHoldAgainstGroundTruthUnderEviction) {
   }
   EXPECT_EQ(sketch.TrackedCount(), 8u);
   for (const HotKey& hot : sketch.TopK(8)) {
-    const uint64_t actual = truth.at(hot.key);
+    ASSERT_NE(truth.Find(hot.key), nullptr);
+    const uint64_t actual = *truth.Find(hot.key);
     // The SpaceSaving invariant, against ground truth (not just internal
     // consistency): estimate >= true >= estimate - error.
     EXPECT_GE(hot.count, actual);

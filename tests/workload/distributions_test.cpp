@@ -40,6 +40,29 @@ TEST(Zipfian, GrowingItemCountKeepsWorking) {
   }
 }
 
+TEST(Zipfian, GrownStepByStepDrawsLikeOneBuiltAtTheCount) {
+  // Growth extends the zeta sum term by term in index order, which must
+  // reproduce a from-scratch build exactly (YCSB-D's latest generator grows
+  // by one item per insert). Checked at every 50th of 750 growth steps, and
+  // after a shrink, which recomputes the sum.
+  ZipfianGenerator grown(1000);
+  for (uint64_t n = 1001; n <= 1750; ++n) {
+    grown.SetItemCount(n);
+    if (n % 50 != 0) continue;
+    ZipfianGenerator fresh(n);
+    Rng a(n);
+    Rng b(n);
+    for (int i = 0; i < 2000; ++i) {
+      ASSERT_EQ(grown.Next(a), fresh.Next(b)) << "count " << n << " draw " << i;
+    }
+  }
+  grown.SetItemCount(1200);
+  ZipfianGenerator fresh(1200);
+  Rng a(5);
+  Rng b(5);
+  for (int i = 0; i < 2000; ++i) ASSERT_EQ(grown.Next(a), fresh.Next(b));
+}
+
 TEST(ScrambledZipfian, SpreadsHotKeysAcrossSpace) {
   Rng rng(4);
   ScrambledZipfianGenerator zipf(10000);

@@ -418,9 +418,7 @@ std::map<std::string, uint64_t> OracleFlips(const workload::Trace& trace,
   std::map<std::string, uint64_t> flips;
   for (const auto& op : trace) {
     if (op.type == workload::OpType::kScan) continue;
-    const ads::ReplState before = oracle.StateOf(op.key);
-    oracle.Observe(op);
-    if (oracle.StateOf(op.key) != before) {
+    if (oracle.Observe(op).Flipped()) {
       flips[telemetry::Tracer::RenderKey(op.key)] += 1;
     }
   }
